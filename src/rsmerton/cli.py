@@ -82,12 +82,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _non_finite_paths(value, path: str) -> list[str]:
+    """Field paths of the NaN and infinite numbers in a parsed JSON document."""
+    if isinstance(value, float):
+        return [] if np.isfinite(value) else [path]
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}", v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return []
+    return [p for sub, v in items for p in _non_finite_paths(v, sub)]
+
+
 def load_config(doc: str | dict) -> ExperimentConfig:
     """Parse and validate an experiment config; errors carry field paths."""
     try:
         data = json.loads(doc) if isinstance(doc, str) else dict(doc)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: not valid JSON ({e})") from e
+    bad = _non_finite_paths(data, "config")
+    if bad:
+        raise ConfigError("; ".join(f"{path}: must be finite" for path in bad))
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
@@ -228,12 +244,13 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _validate_solution(spec, solution, curve) -> dict:
-    from rsmerton.equilibrium import log_system
-    from rsmerton.ode_engine import residual_norm
+    from rsmerton.equilibrium import _power_rhs_factory, log_system
+    from rsmerton.ode_engine import OdeSystem, residual_norm
 
     if solution.branch == "power":
         table = solution.g_table
-        sys_ref = _power_system(spec)
+        rhs = _power_rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
+        sys_ref = OdeSystem(spec.states, rhs, np.ones(spec.states), spec.horizon)
     else:
         table = SolutionTable(
             grid=solution.h_table.grid,
@@ -248,23 +265,6 @@ def _validate_solution(spec, solution, curve) -> dict:
         and checks["higher_rho_higher_consumption"]
     )
     return {"residual_norm": res, **checks, "passed": bool(passed)}
-
-
-def _power_system(spec):
-    from rsmerton.equilibrium import G_POSITIVITY_FLOOR, growth_exponent
-    from rsmerton.ode_engine import OdeSystem
-
-    rates = spec.generator.rates
-    g = spec.gamma
-
-    def rhs(t, y):
-        q = growth_exponent(spec, t)
-        return -((q - spec.rho) * y + rates @ y + (1 - g) * np.power(y, g / (g - 1)))
-
-    return OdeSystem(
-        dimension=spec.states, rhs=rhs, terminal_values=np.ones(spec.states),
-        horizon=spec.horizon, positivity_floor=G_POSITIVITY_FLOOR,
-    )
 
 
 def _fixed_point_check(spec, solution, config) -> dict:

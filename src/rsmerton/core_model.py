@@ -27,6 +27,15 @@ class SpecValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
+def _non_finite(name: str, value) -> list[str]:
+    """One violation per NaN or infinite entry, named by its index path."""
+    v = np.asarray(value, dtype=float)
+    return [
+        f"{name}{''.join(f'[{i}]' for i in idx)} must be finite, got {v[tuple(idx)]}"
+        for idx in np.argwhere(~np.isfinite(v))
+    ]
+
+
 def _readonly(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     arr.flags.writeable = False
@@ -51,6 +60,8 @@ class RegimeGenerator:
         m = self.rates
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             return [f"generator must be square, got shape {m.shape}"]
+        if not np.isfinite(m).all():  # sums and signs of such rows mean nothing
+            return _non_finite("generator", m)
         if m.shape[0] < 2:
             errs.append(f"need at least 2 regimes, got {m.shape[0]}")
         for i in range(m.shape[0]):
@@ -121,6 +132,8 @@ class MarketSpec:
             v = getattr(self, name)
             if v.shape != (n,):
                 errs.append(f"{name} must have one entry per state, got shape {v.shape}")
+            errs += _non_finite(name, v)
+        errs += _non_finite("horizon", self.horizon) + _non_finite("gamma", self.gamma)
         if self.sigma.shape == (n,) and not (self.sigma > 0).all():
             errs.append(f"sigma must be positive, got {self.sigma.tolist()}")
         if self.rho.shape == (n,) and not (self.rho > 0).all():

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rsmerton.core_model import RegimeGenerator
+from rsmerton.ode_engine import interp_by_state, running_sum
 from rsmerton.reporting import MCReport
 
 CHAIN_SUBSTREAM = 0
@@ -210,48 +211,109 @@ def sample_skeletons(
     )
 
 
-def iter_cells(skel: JumpSkeletons, edges: np.ndarray):
-    """Walk an ensemble over the cells of a time grid.
+# Cells per block: one (cells, paths) array of a block holds about this many
+# elements, which amortises the per-block work and keeps temporaries small.
+BLOCK_ELEMENTS = 2**15
 
-    Yields (k, entry_state, exit_state, correction) per cell
-    [edges[k], edges[k+1]]: entry/exit are the per-path states at the cell
-    edges, and correction is None when no path jumps inside the cell, else
-    (sub_idx, rounds) where rounds is a list of (seg_start, seg_end,
-    seg_state) sub-segment triples restricted to the jumping paths. The state
-    arrays are live views; copy them if they must survive the iteration step.
+
+@dataclass(frozen=True)
+class CellBlock:
+    """B consecutive cells of an ensemble walk over a time grid (see cell_blocks).
+
+    Cell k is [edges[k], edges[k+1]]; a jump at an edge belongs to the later
+    cell, whose first segment is then empty. Pairs are the (cell, path) pairs
+    with a jump inside the cell, ordered by cell, then path. Jumps split pair
+    j's cell into segments r = 0, 1, ... from knots[r, j] to knots[r + 1, j]
+    in state seg_state[r, j]. Rows past a pair's last jump are empty segments
+    at the upper edge, so a sum over the rows in order adds exact zeros.
     """
-    P = skel.n_paths
-    idx = np.arange(P)
-    pad_t = np.vstack([skel.jump_times, np.full((1, P), np.inf)])
-    pad_s = (
-        np.vstack([skel.states_after, np.zeros((1, P), dtype=np.int64)])
-        if skel.max_jumps
-        else np.zeros((1, P), dtype=np.int64)
-    )
-    ptr = np.zeros(P, dtype=np.int64)
-    state = np.full(P, skel.initial_state, dtype=np.int64)
-    for k in range(len(edges) - 1):
-        t_hi = edges[k + 1]
-        tj = pad_t[ptr, idx]
-        jmask = tj < t_hi
-        if not jmask.any():
-            yield k, state, state, None
-            continue
-        sub = np.nonzero(jmask)[0]
-        entry = state.copy()
-        tcur = np.full(sub.size, edges[k])
-        rounds = []
-        while True:
-            tj_s = pad_t[ptr[sub], sub]
-            jumping = tj_s < t_hi
-            seg_end = np.where(jumping, tj_s, t_hi)
-            rounds.append((tcur, seg_end, state[sub].copy()))
-            if not jumping.any():
-                break
-            state[sub] = np.where(jumping, pad_s[ptr[sub], sub], state[sub])
-            ptr[sub] += jumping
-            tcur = seg_end
-        yield k, entry, state, (sub, rounds)
+
+    start: int  # index of the block's first cell
+    entry: np.ndarray  # (B, P) state at each cell's lower edge
+    exit: np.ndarray  # (B, P) state at each cell's upper edge
+    increments: tuple  # per table, (B, P) rise over each cell, segments summed in order
+    pair_cell: np.ndarray  # block-relative cell of each pair
+    pair_path: np.ndarray
+    knots: np.ndarray  # (R + 1, n_pairs)
+    seg_state: np.ndarray  # (R, n_pairs)
+    seg_values: tuple  # per table, (R, n_pairs) values at segment starts and ends
+
+
+def cell_blocks(skel: JumpSkeletons, edges: np.ndarray, tables=()):
+    """Walk an ensemble over the cells of a time grid, a block of cells at a time.
+
+    edges must run from skel.t_start to skel.horizon. tables holds (grid,
+    table) pairs, each table (n_nodes, S) and read per state as np.interp
+    reads it, bit for bit; increments are meaningful for tables cumulative
+    in time.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges[0] != skel.t_start or edges[-1] != skel.horizon:
+        raise ValueError("edges must run from the ensemble's t_start to its horizon")
+    n_cells = edges.size - 1
+    width = max(1, BLOCK_ELEMENTS // skel.n_paths)
+    # Every jump placed in its cell once. Jumps come path by path in time
+    # order, so a stable sort by cell orders them by (cell, path, time); the
+    # index arrays are narrowed and reordered one at a time to save memory.
+    path, level = np.nonzero(np.isfinite(skel.jump_times.T))
+    times = skel.jump_times[level, path]
+    cell = np.searchsorted(edges, times, side="right").astype(np.int32) - 1
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    times = times[order]
+    path = path[order].astype(np.int32)
+    targets = skel.states_after[level[order], path]
+    del level, order
+    at_edges = [interp_by_state(g, tab, edges[:, None], np.arange(tab.shape[1])) for g, tab in tables]
+    per_cell = [np.diff(v, axis=0).ravel() for v in at_edges]  # flat by cell * S + state
+    S = tables[0][1].shape[1] if tables else 0  # every table has one column per state
+    walked = np.full((1, skel.n_paths), skel.initial_state, dtype=np.int64)
+    starts = np.arange(0, n_cells, width)
+    for k0, a, b in zip(starts, *np.searchsorted(cell, [starts, np.append(starts[1:], n_cells)])):
+        B = min(width, n_cells - k0)
+        c, p, tau, target = cell[a:b] - k0, path[a:b], times[a:b], targets[a:b]
+        first = np.ones(c.size, dtype=bool)
+        first[1:] = (c[1:] != c[:-1]) | (p[1:] != p[:-1])
+        last = np.roll(first, -1)  # last jump of its pair
+        pair = np.cumsum(first) - 1
+        heads = np.flatnonzero(first)
+        row = np.arange(c.size) - heads[pair] + 1  # knot row of each jump
+        pair_cell, pair_path = c[heads], p[heads]
+        # States at the edges: each pair's last target, carried forward.
+        walked = np.vstack([walked[-1:], np.empty((B, skel.n_paths), dtype=np.int64)])
+        last_p, last_target = p[last], target[last]
+        ends = np.searchsorted(c[last], np.arange(B + 1))
+        for k in range(B):
+            walked[k + 1] = walked[k]
+            walked[k + 1, last_p[ends[k]:ends[k + 1]]] = last_target[ends[k]:ends[k + 1]]
+        R = int(row.max(initial=0)) + 1
+        lower, upper = k0 + pair_cell, k0 + 1 + pair_cell  # edge indices
+        knots = np.tile(edges[upper], (R + 1, 1))
+        knots[0] = edges[lower]
+        knots[row, pair] = tau
+        seg_state = np.tile(walked[pair_cell + 1, pair_path], (R, 1))
+        seg_state[0] = walked[pair_cell, pair_path]
+        seg_state[row, pair] = target
+        at_entry = np.arange(k0, k0 + B)[:, None] * S + walked[:-1]
+        increments, seg_values = [], []
+        for (grid, table), on_edges, rise in zip(tables, at_edges, per_cell):
+            # Each jump time is searched once, for the states on both sides of it.
+            v_before, v_after = interp_by_state(
+                grid, table, tau, np.stack([seg_state[row - 1, pair], target])
+            )
+            lo = np.tile(on_edges[upper, seg_state[-1]], (R, 1))
+            hi = lo.copy()
+            lo[0] = on_edges[lower, seg_state[0]]
+            lo[row, pair] = v_after
+            hi[row - 1, pair] = v_before
+            inc = np.take(rise, at_entry)
+            inc[pair_cell, pair_path] = running_sum(np.zeros(heads.size), hi - lo)[-1]
+            increments.append(inc)
+            seg_values.append((lo, hi))
+        yield CellBlock(
+            int(k0), walked[:-1], walked[1:], tuple(increments), pair_cell, pair_path,
+            knots, seg_state, tuple(seg_values),
+        )
 
 
 def occupation_times(skel: JumpSkeletons, n_states: int | None = None) -> np.ndarray:

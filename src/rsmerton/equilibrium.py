@@ -35,13 +35,14 @@ from rsmerton.core_model import (
     coefficients_at,
     validate_spec,
 )
-from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, iter_cells, sample_skeletons
+from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.ode_engine import (
     OdeSystem,
     SolutionTable,
     interp_by_state,
     merge_breakpoints,
     rk4_solve,
+    running_sum,
     solve_terminal_ode,
     step_cumulative,
 )
@@ -151,12 +152,6 @@ class EquilibriumSolution:
             rates = 1.0 / table.values
         return ConsumptionCurve(grid=table.grid, rates=rates)
 
-    def investment_fraction(self, t: float, i: int) -> float:
-        """Risky-asset dollar position per unit wealth in regime i."""
-        _, mu, sigma = coefficients_at(self.spec, float(t), self.coeffs)
-        denom = 1.0 - (self.spec.gamma if self.branch == "power" else 0.0)
-        return float(mu[i] / (sigma[i] ** 2 * denom))
-
 
 @dataclass(frozen=True)
 class ConsumptionCurve:
@@ -187,6 +182,17 @@ def solve_g(
     validate_spec(spec)
     if spec.prefs.is_log:
         raise ValueError("solve_g is the power branch; use solve_log for gamma = 0")
+    table = solve_market_ode(
+        _power_rhs_factory(spec), spec, coeffs, np.ones(spec.states), n_steps, tol,
+        positivity_floor=G_POSITIVITY_FLOOR,
+    )
+    return EquilibriumSolution(
+        spec=spec, branch="power", g_table=table, coeffs=coeffs, n_steps=table.grid.size - 1
+    )
+
+
+def _power_rhs_factory(spec: MarketSpec):
+    """Leg-wise right-hand side of the g-system."""
     g = spec.gamma
     rates = spec.generator.rates
     rho = spec.rho
@@ -200,13 +206,7 @@ def solve_g(
 
         return rhs
 
-    table = solve_market_ode(
-        make_rhs, spec, coeffs, np.ones(spec.states), n_steps, tol,
-        positivity_floor=G_POSITIVITY_FLOOR,
-    )
-    return EquilibriumSolution(
-        spec=spec, branch="power", g_table=table, coeffs=coeffs, n_steps=table.grid.size - 1
-    )
+    return make_rhs
 
 
 def _log_rhs_factory(spec: MarketSpec):
@@ -451,34 +451,56 @@ def _picard_path_values(
         [growth_exponent(spec, tn, coeffs) - rho for tn in nodes[:-1]], axis=0
     )
     cq = step_cumulative(nodes, ivals)
-    edge_idx = np.searchsorted(nodes, edges)
-    gp_edges = np.stack(
-        [np.interp(edges, gp_grid, gp_tab[:, j]) for j in range(spec.states)], axis=1
-    )
+    S = spec.states
+    gp_edges = interp_by_state(gp_grid, gp_tab, edges[:, None], np.arange(S)).ravel()
+    dt = np.diff(edges)
     expo = np.zeros(n_paths)  # running log K
     integral = np.zeros(n_paths)
-    for k, entry, _exit, corr in iter_cells(skel, edges):
-        dt = edges[k + 1] - edges[k]
-        d_expo = cq[edge_idx[k + 1], entry] - cq[edge_idx[k], entry]
-        f_lo = np.exp(expo) * gp_edges[k, entry]
-        f_hi = np.exp(expo + d_expo) * gp_edges[k + 1, entry]
-        contrib = 0.5 * (f_lo + f_hi) * dt
-        if corr is not None:
-            sub, rounds = corr
-            e_sub = expo[sub].copy()
-            c_sub = np.zeros(sub.size)
-            for seg_lo, seg_hi, seg_state in rounds:
-                de = interp_by_state(nodes, cq, seg_hi, seg_state) - interp_by_state(
-                    nodes, cq, seg_lo, seg_state
-                )
-                g_lo = interp_by_state(gp_grid, gp_tab, seg_lo, seg_state)
-                g_hi = interp_by_state(gp_grid, gp_tab, seg_hi, seg_state)
-                c_sub += 0.5 * (np.exp(e_sub) * g_lo + np.exp(e_sub + de) * g_hi) * (
-                    seg_hi - seg_lo
-                )
-                e_sub += de
-            d_expo[sub] = e_sub - expo[sub]
-            contrib[sub] = c_sub
-        expo = expo + d_expo
-        integral += contrib
+    f_prev = np.full(n_paths, gp_edges[initial])  # K g^(gamma/(gamma-1)) at the lower edge
+    for blk in cell_blocks(skel, edges, ((nodes, cq), (gp_grid, gp_tab))):
+        d_expo = blk.increments[0]
+        pair_integrals = _picard_pairs(blk, d_expo, expo)
+        run = running_sum(expo, d_expo)  # log K at the block's edges
+        k = blk.start + np.arange(1, d_expo.shape[0] + 1)[:, None]
+        # At an upper edge in the exit state; a cell without jumps exits in
+        # its entry state, and a cell with jumps takes its pair integral.
+        f = np.exp(run[1:]) * np.take(gp_edges, k * S + blk.exit)
+        contrib = 0.5 * (np.concatenate([f_prev[None], f[:-1]]) + f) * dt[k - 1]
+        contrib[blk.pair_cell, blk.pair_path] = pair_integrals
+        for row in contrib:
+            integral += row
+        expo, f_prev = run[-1], f[-1]
     return np.exp(expo) + (1.0 - gamma) * integral
+
+
+def _picard_pairs(blk, d_expo, expo):
+    """Trapezoid of K g^(gamma/(gamma-1)) over the segments of each cell with a jump.
+
+    Returns one integral per (cell, path) pair of the block and sets d_expo
+    there to the pair's log K at the upper edge minus its log K at the lower
+    edge. That start value depends on the path's earlier pairs in the block,
+    so pairs are settled in layers: layer l holds every path's l-th pair.
+    """
+    cell, path = blk.pair_cell, blk.pair_path
+    (cq_lo, cq_hi), (g_lo, g_hi) = blk.seg_values
+    de = cq_hi - cq_lo
+    width = np.diff(blk.knots, axis=0)
+    by_path = np.argsort(path, kind="stable")  # pairs come in cell order
+    new_path = np.append(True, path[by_path][1:] != path[by_path][:-1])
+    heads = np.flatnonzero(new_path)
+    layer = np.empty(cell.size, dtype=np.int64)
+    layer[by_path] = np.arange(cell.size) - heads[np.cumsum(new_path) - 1]
+    out = np.zeros(cell.size)
+    for lay in range(layer.max(initial=-1) + 1):
+        sel = np.flatnonzero(layer == lay)
+        cols = path[sel]
+        e0 = running_sum(expo[cols], d_expo[:, cols])[cell[sel], np.arange(sel.size)]
+        e = e0.copy()
+        c = np.zeros(sel.size)
+        for r in range(de.shape[0]):
+            de_r = de[r, sel]
+            c += 0.5 * (np.exp(e) * g_lo[r, sel] + np.exp(e + de_r) * g_hi[r, sel]) * width[r, sel]
+            e += de_r
+        d_expo[cell[sel], cols] = e - e0
+        out[sel] = c
+    return out

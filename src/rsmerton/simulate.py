@@ -32,7 +32,7 @@ from rsmerton.ctmc import (
     DIFFUSION_SUBSTREAM,
     JumpPath,
     RngSpec,
-    iter_cells,
+    cell_blocks,
     sample_skeletons,
 )
 from rsmerton.equilibrium import EquilibriumSolution, solve, solve_market_ode
@@ -161,8 +161,8 @@ def _cumulative_tables(strategy: ProportionalStrategy, spec: MarketSpec, coeffs)
     bp = None if coeffs is None else coeffs.breakpoints
     tg = merge_breakpoints(strategy.grid, bp)
     S = strategy.n_states
-    a_tab = np.stack([np.interp(tg, strategy.grid, strategy.invest_frac[:, j]) for j in range(S)], axis=1)
-    b_tab = np.stack([np.interp(tg, strategy.grid, strategy.consume_frac[:, j]) for j in range(S)], axis=1)
+    a_tab = interp_by_state(strategy.grid, strategy.invest_frac, tg[:, None], np.arange(S))
+    b_tab = interp_by_state(strategy.grid, strategy.consume_frac, tg[:, None], np.arange(S))
     mids = 0.5 * (tg[:-1] + tg[1:])
     r_c = np.empty((mids.size, S))
     mu_c = np.empty_like(r_c)
@@ -195,14 +195,6 @@ class WealthPath:
     first_invalid: int | None
     seed: int
     stream: int
-
-    def to_csv(self) -> str:
-        """Rows (t, wealth, state) for inspection."""
-        states = self.path.state_at(self.grid)
-        lines = ["t,wealth,state"]
-        for t, w, s in zip(self.grid, self.wealth, states):
-            lines.append(f"{t:.12g},{w:.12g},{int(s)}")
-        return "\n".join(lines) + "\n"
 
 
 def simulate_wealth(
@@ -302,48 +294,49 @@ def estimate_J(
     skel = sample_skeletons(spec.generator, i, t, T, n_paths, rng)
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(t, T, n_grid + 1)
+    dt = np.diff(edges)
     tg, cd, cv, _a_tab, b_tab = _cumulative_tables(strategy, spec, coeffs)
     S = spec.states
-    cd_edges = np.stack([np.interp(edges, tg, cd[:, j]) for j in range(S)], axis=1)
-    cv_edges = np.stack([np.interp(edges, tg, cv[:, j]) for j in range(S)], axis=1)
-    b_edges = np.stack([np.interp(edges, tg, b_tab[:, j]) for j in range(S)], axis=1)
+    # log(b x) at the edges, flat by edge * S + state
+    log_bx = np.log(interp_by_state(tg, b_tab, edges[:, None], np.arange(S)).ravel() * x)
     disc = np.exp(-rho_i * (edges - t))
 
-    def flow(b_vals, log_wealth, k):
-        # e^{-rho_i (s-t)} U(b X) evaluated stably in log space
+    def flow(log_c, log_wealth, disc_k):
+        # e^{-rho_i (s-t)} U(c) evaluated stably in log space
         if prefs.is_log:
-            return disc[k] * (np.log(b_vals * x) + log_wealth)
-        return disc[k] * np.exp(gamma * (np.log(b_vals * x) + log_wealth)) / gamma
+            return disc_k * (log_c + log_wealth)
+        return disc_k * np.exp(gamma * (log_c + log_wealth)) / gamma
 
     log_x = np.zeros(n_paths)
     quad = np.zeros(n_paths)
-    f_prev = flow(np.full(n_paths, b_edges[0, i]), log_x, 0)
-    for k, entry, exit_, corr in iter_cells(skel, edges):
-        d_cell = cd_edges[k + 1, entry] - cd_edges[k, entry]
-        v_cell = cv_edges[k + 1, entry] - cv_edges[k, entry]
-        if corr is not None:
-            sub, rounds = corr
-            d_sub = np.zeros(sub.size)
-            v_sub = np.zeros(sub.size)
-            for seg_lo, seg_hi, seg_state in rounds:
-                d_sub += interp_by_state(tg, cd, seg_hi, seg_state) - interp_by_state(
-                    tg, cd, seg_lo, seg_state
-                )
-                v_sub += interp_by_state(tg, cv, seg_hi, seg_state) - interp_by_state(
-                    tg, cv, seg_lo, seg_state
-                )
-            d_cell[sub] = d_sub
-            v_cell[sub] = v_sub
-        z = zgen.standard_normal(n_paths)
-        log_x = log_x + d_cell + np.sqrt(np.clip(v_cell, 0.0, None)) * z
-        f_now = flow(b_edges[k + 1, exit_], log_x, k + 1)
-        quad += 0.5 * (f_prev + f_now) * (edges[k + 1] - edges[k])
-        f_prev = f_now
-    if prefs.is_log:
-        terminal = disc[-1] * (np.log(x) + log_x)
-    else:
-        terminal = disc[-1] * np.exp(gamma * (np.log(x) + log_x)) / gamma
-    return MCReport.from_samples(quad + terminal, rng, target=target)
+    f_prev = flow(np.full(n_paths, log_bx[i]), log_x, disc[0])
+    for blk in cell_blocks(skel, edges, ((tg, cd), (tg, cv))):
+        rows = _log_wealth_rows(log_x, blk, zgen)
+        k = blk.start + np.arange(1, rows.shape[0] + 1)[:, None]  # upper edges
+        f = flow(np.take(log_bx, k * S + blk.exit), rows, disc[k])
+        trap = 0.5 * (np.concatenate([f_prev[None], f[:-1]]) + f) * dt[k - 1]
+        for row in trap:
+            quad += row
+        log_x, f_prev = rows[-1], f[-1]
+    return MCReport.from_samples(quad + flow(np.log(x), log_x, disc[-1]), rng, target=target)
+
+
+def _log_wealth_rows(log_x: np.ndarray, blk, zgen: np.random.Generator) -> np.ndarray:
+    """Log wealth at the upper edge of each cell of a block, shape (B, P).
+
+    Per cell the drift increment is added first, then the noise term, as a
+    cell-by-cell walk adds them; the normals come from the one diffusion
+    stream as a (B, P) draw, in the order such a walk draws them.
+    """
+    d, v = blk.increments
+    noise = np.clip(v, 0.0, None)
+    np.sqrt(noise, out=noise)
+    noise *= zgen.standard_normal(d.shape)
+    out = np.empty(d.shape)
+    for b in range(d.shape[0]):
+        log_x = np.add(log_x, d[b], out=out[b])
+        log_x += noise[b]
+    return out
 
 
 def sample_terminal_wealth(
@@ -365,28 +358,9 @@ def sample_terminal_wealth(
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(0.0, T, n_grid + 1)
     tg, cd, cv, _a_tab, _b_tab = _cumulative_tables(strategy, spec, coeffs)
-    S = spec.states
-    cd_edges = np.stack([np.interp(edges, tg, cd[:, j]) for j in range(S)], axis=1)
-    cv_edges = np.stack([np.interp(edges, tg, cv[:, j]) for j in range(S)], axis=1)
     log_x = np.full(n_paths, np.log(x0))
-    for k, entry, _exit, corr in iter_cells(skel, edges):
-        d_cell = cd_edges[k + 1, entry] - cd_edges[k, entry]
-        v_cell = cv_edges[k + 1, entry] - cv_edges[k, entry]
-        if corr is not None:
-            sub, rounds = corr
-            d_sub = np.zeros(sub.size)
-            v_sub = np.zeros(sub.size)
-            for seg_lo, seg_hi, seg_state in rounds:
-                d_sub += interp_by_state(tg, cd, seg_hi, seg_state) - interp_by_state(
-                    tg, cd, seg_lo, seg_state
-                )
-                v_sub += interp_by_state(tg, cv, seg_hi, seg_state) - interp_by_state(
-                    tg, cv, seg_lo, seg_state
-                )
-            d_cell[sub] = d_sub
-            v_cell[sub] = v_sub
-        z = zgen.standard_normal(n_paths)
-        log_x = log_x + d_cell + np.sqrt(np.clip(v_cell, 0.0, None)) * z
+    for blk in cell_blocks(skel, edges, ((tg, cd), (tg, cv))):
+        log_x = _log_wealth_rows(log_x, blk, zgen)[-1]
     return np.exp(log_x)
 
 
@@ -406,10 +380,6 @@ class FrozenValueTable:
     f_table: SolutionTable | None = None
     h_table: SolutionTable | None = None
     l_table: SolutionTable | None = None
-
-    @property
-    def table(self) -> SolutionTable:
-        return self.f_table if self.branch == "power" else self.h_table
 
     def value(self, t: float, x: float, row: int) -> float:
         if x <= 0:
@@ -527,10 +497,7 @@ class SlopeOracle:
         self.base = ProportionalStrategy.from_policy(self.solution)
         self.n_steps_tail = n_steps_tail
         self.n_steps_window = n_steps_window
-        S = spec.states
-        self._terminal = (
-            np.concatenate([np.ones(S), np.zeros(S)]) if spec.prefs.is_log else np.ones(S)
-        )
+        self._terminal = _fk_terminal(spec)
         self._tails: dict = {}
         self._eq_windows: dict = {}
 

@@ -51,6 +51,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="config.market: row 0 sums to 1"):
             load_config(doc)
 
+    def test_non_finite_json_literals_rejected_with_field_paths(self, tmp_path):
+        text = json.dumps(minimal_config(tmp_path, grid=256, paths=1000))
+        text = text.replace('"sigma": [0.25, 0.25]', '"sigma": [0.25, NaN]')
+        text = text.replace('"horizon": 1.0', '"horizon": Infinity')
+        text = text.replace('"paths": 1000', '"paths": -Infinity')
+        with pytest.raises(ConfigError) as e:
+            load_config(text)
+        assert str(e.value) == (
+            "config.market.sigma[1]: must be finite; config.market.horizon: must be finite; "
+            "config.paths: must be finite"
+        )
+
     def test_bad_output_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown kinds"):
             load_config(minimal_config(tmp_path, outputs=["plots"]))
@@ -128,6 +140,15 @@ class TestMain:
         assert main(["solve", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "row 0 sums to 1" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_config_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        text = json.dumps(minimal_config(tmp_path))
+        cfg_path.write_text(text.replace('"rho": [0.9, 0.3]', '"rho": [NaN, 0.3]'))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config.market.rho[0]: must be finite" in err
         assert "Traceback" not in err
 
     def test_fig1_small_grid(self, tmp_path, capsys):

@@ -53,6 +53,21 @@ class TestValidation:
         with pytest.raises(SpecValidationError):
             validate_spec(make_spec(**corruption))
 
+    @pytest.mark.parametrize(
+        "corruption, path",
+        [
+            (dict(generator=[[-6.04, np.nan], [10.9, -10.9]]), r"generator\[0\]\[1\]"),
+            (dict(generator=[[-np.inf, np.inf], [10.9, -10.9]]), r"generator\[0\]\[0\]"),
+            (dict(r=(0.05, np.nan)), r"r\[1\]"),
+            (dict(mu=(np.inf, 0.15)), r"alpha\[0\]"),
+            (dict(horizon=np.inf), "horizon"),
+            (dict(gamma=-np.inf), "gamma"),
+        ],
+    )
+    def test_non_finite_values_rejected_with_field_path(self, corruption, path):
+        with pytest.raises(SpecValidationError, match=path + " must be finite"):
+            validate_spec(make_spec(**corruption))
+
     def test_all_violations_reported_together(self):
         spec = make_spec(sigma=-1.0, horizon=-2.0, gamma=3.0)
         with pytest.raises(SpecValidationError) as e:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rsmerton import ctmc
 from rsmerton.core_model import RegimeGenerator
 from rsmerton.ctmc import (
     JumpPath,
     RngSpec,
+    JumpSkeletons,
+    cell_blocks,
     dynkin_check,
-    iter_cells,
     occupation_times,
     sample_path,
     sample_skeletons,
@@ -78,25 +80,24 @@ class TestEnsembleMachinery:
         alive = skel.jump_times[0] < 1.0
         assert (skel.states_after[0][alive] == 1).all()
 
-    def test_iter_cells_reconstructs_occupation_times(self):
+    def test_cell_blocks_reconstruct_occupation_times(self, monkeypatch):
+        # One cumulative table per state: column s grows at rate 1 in state s
+        # only, so the kernel's increments are per-cell occupation times.
         skel = sample_skeletons(BENCH, 0, 0.0, 1.0, 400, RngSpec(seed=7))
         edges = np.linspace(0.0, 1.0, 33)
-        occ = np.zeros((2, 400))
-        for k, entry, _exit, corr in iter_cells(skel, edges):
-            dt = edges[k + 1] - edges[k]
-            base = np.zeros((2, 400))
-            for s in range(2):
-                base[s][entry == s] = dt
-            if corr is not None:
-                sub, rounds = corr
-                base[:, sub] = 0.0
-                for lo, hi, st_ in rounds:
-                    for s in range(2):
-                        m = st_ == s
-                        base[s, sub[m]] += (hi - lo)[m]
-            occ += base
+        grid = np.array([0.0, 1.0])
+        tables = [(grid, np.outer(grid, np.eye(2)[s])) for s in range(2)]
         ref = occupation_times(skel, n_states=2)
-        np.testing.assert_allclose(occ, ref, atol=1e-12)
+        for block_elements in (400 * 3, ctmc.BLOCK_ELEMENTS):  # 11 blocks, then one
+            monkeypatch.setattr(ctmc, "BLOCK_ELEMENTS", block_elements)
+            occ = np.zeros((2, 400))
+            cells = 0
+            for blk in cell_blocks(skel, edges, tables):
+                assert blk.start == cells
+                cells += blk.entry.shape[0]
+                occ += np.array([blk.increments[s].sum(axis=0) for s in range(2)])
+            assert cells == 32
+            np.testing.assert_allclose(occ, ref, rtol=0, atol=1e-12)
 
     def test_final_states_match_marginal_law(self):
         # Ensemble marginal at several times vs the matrix-exponential law.
@@ -109,6 +110,77 @@ class TestEnsembleMachinery:
             p_ref = expm(BENCH.rates * t)[0, 1]
             se = np.sqrt(p_ref * (1 - p_ref) / n)
             assert abs(p_hat - p_ref) <= 3 * se
+
+
+def segments(blk, j=0):
+    """(lo, hi, state) of each segment row of pair j."""
+    k, st = blk.knots[:, j].tolist(), blk.seg_state[:, j].tolist()
+    return list(zip(k[:-1], k[1:], st))
+
+
+def _hand_built(jump_times, states_after, initial=0):
+    """Two-state ensemble from per-path jump lists, inf-padded."""
+    width = max(len(t) for t in jump_times)
+    jt = np.full((width, len(jump_times)), np.inf)
+    st = np.full((width, len(jump_times)), initial, dtype=np.int64)
+    for p, (times, states) in enumerate(zip(jump_times, states_after)):
+        jt[: len(times), p] = times
+        st[: len(states), p] = states
+    return JumpSkeletons(initial, 0.0, 1.0, jt, st)
+
+
+class TestCellBlocks:
+    """Hand-built ensembles on four cells of width 0.25, one block."""
+
+    EDGES = np.linspace(0.0, 1.0, 5)
+    CLOCK = (np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 1.0]]))  # dt in any state
+
+    def walk(self, skel):
+        (blk,) = cell_blocks(skel, self.EDGES, [self.CLOCK])
+        return blk
+
+    def test_jump_on_an_edge_belongs_to_the_later_cell(self):
+        blk = self.walk(_hand_built([[0.5]], [[1]]))
+        np.testing.assert_array_equal(blk.entry[:, 0], [0, 0, 0, 1])
+        np.testing.assert_array_equal(blk.exit[:, 0], [0, 0, 1, 1])
+        assert blk.pair_cell.tolist() == [2] and blk.pair_path.tolist() == [0]
+        assert segments(blk) == [(0.5, 0.5, 0), (0.5, 0.75, 1)]  # empty first segment
+        np.testing.assert_array_equal(blk.increments[0][:, 0], np.full(4, 0.25))
+
+    def test_two_jumps_in_one_cell(self):
+        blk = self.walk(_hand_built([[0.3, 0.4]], [[1, 0]]))
+        np.testing.assert_array_equal(blk.entry[:, 0], [0, 0, 0, 0])
+        assert blk.pair_cell.tolist() == [1]
+        assert segments(blk) == [(0.25, 0.3, 0), (0.3, 0.4, 1), (0.4, 0.5, 0)]
+        at_lo, at_hi = blk.seg_values[0]
+        np.testing.assert_array_equal(at_lo, blk.knots[:-1])
+        np.testing.assert_array_equal(at_hi, blk.knots[1:])
+        assert blk.increments[0][1, 0] == (0.3 - 0.25) + (0.4 - 0.3) + (0.5 - 0.4)
+
+    def test_path_without_jumps(self):
+        skel = _hand_built([[0.3, 0.4], []], [[1, 0], []])
+        blk = self.walk(skel)
+        np.testing.assert_array_equal(blk.entry[:, 1], [0, 0, 0, 0])
+        np.testing.assert_array_equal(blk.exit[:, 1], [0, 0, 0, 0])
+        assert 1 not in blk.pair_path.tolist()
+        np.testing.assert_array_equal(blk.increments[0][:, 1], np.full(4, 0.25))
+
+    def test_shorter_pairs_are_padded_with_empty_segments(self):
+        blk = self.walk(_hand_built([[0.3, 0.4], [0.35]], [[1, 0], [1]]))
+        assert blk.pair_path.tolist() == [0, 1]
+        assert segments(blk, 1) == [(0.25, 0.35, 0), (0.35, 0.5, 1), (0.5, 0.5, 1)]
+        at_lo, at_hi = blk.seg_values[0]
+        assert at_lo[2, 1] == at_hi[2, 1] == 0.5
+        np.testing.assert_array_equal(blk.increments[0][1], [0.25, 0.25])
+
+    def test_ensemble_without_jumps_has_no_pairs(self):
+        (blk,) = cell_blocks(_hand_built([[], []], [[], []]), self.EDGES)
+        assert blk.pair_cell.size == 0 and blk.seg_values == ()
+        assert (blk.entry == 0).all() and (blk.exit == 0).all()
+
+    def test_edges_must_span_the_ensemble(self):
+        with pytest.raises(ValueError, match="t_start to its horizon"):
+            next(cell_blocks(_hand_built([[]], [[]]), np.linspace(0.0, 0.5, 3)))
 
 
 class TestStationaryDistribution:

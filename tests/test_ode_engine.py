@@ -192,6 +192,26 @@ class TestTableHelpers:
         state = np.array([0, 1])
         np.testing.assert_allclose(interp_by_state(grid, table, t, state), [0.5, 12.5])
 
+    def test_interp_by_state_matches_np_interp_bit_for_bit(self):
+        g = np.random.default_rng(3)
+        grid = np.unique(np.concatenate([[0.0, 1.0], g.uniform(0.0, 1.0, 40)]))
+        table = np.cumsum(g.standard_normal((grid.size, 5)), axis=0)
+        # Random times, every node, and times past both ends.
+        t = np.concatenate([g.uniform(-0.1, 1.1, 2000), grid])
+        state = g.integers(0, 5, t.size)
+        ref = np.array([np.interp(tk, grid, table[:, s]) for tk, s in zip(t, state)])
+        np.testing.assert_array_equal(interp_by_state(grid, table, t, state), ref)
+        cols = np.stack([np.interp(t, grid, table[:, j]) for j in range(5)], axis=1)
+        np.testing.assert_array_equal(interp_by_state(grid, table, t[:, None], np.arange(5)), cols)
+
+    def test_interp_by_state_rejects_states_outside_the_table(self):
+        grid = np.array([0.0, 1.0])
+        table = np.array([[0.0, 10.0], [1.0, 20.0]])
+        with pytest.raises(IndexError, match=r"state 5 outside \[0, 2\)"):
+            interp_by_state(grid, table, np.array([0.5, 0.5]), np.array([5, 7]))
+        with pytest.raises(IndexError, match="state -1"):
+            interp_by_state(grid, table, np.array([0.5]), np.array([-1]))
+
     def test_merge_breakpoints(self):
         edges = np.array([0.0, 0.5, 1.0])
         out = merge_breakpoints(edges, np.array([0.25, 0.5, 2.0]))
