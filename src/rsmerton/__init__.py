@@ -12,8 +12,8 @@ Layout
 core_model   problem data (market coefficients, generator, preferences)
 ctmc         chain sampling, stationary distribution, martingale diagnostics
 ode_engine   deterministic backward RK4 integrator with dense output
-equilibrium  the g- and (h,l)-systems, policies, closed forms, Picard oracle
-simulate     wealth-path simulation, utility functionals, slope certificates
+equilibrium  the g- and (h,l)-systems, value ansatz, closed forms, Picard oracle
+simulate     policies as strategies, wealth simulation, utility functionals, slope certificates
 cli          batch front end (solve / validate / fig1 / slope-cert)
 """
 

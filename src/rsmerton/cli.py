@@ -31,9 +31,9 @@ from rsmerton.core_model import (
     market_spec_from_json,
     market_spec_to_json,
 )
-from rsmerton.ctmc import RngSpec, dynkin_check, stationary_distribution
-from rsmerton.equilibrium import picard_apply, solve
-from rsmerton.ode_engine import SolutionTable
+from rsmerton.ctmc import RngSpec
+from rsmerton.equilibrium import picard_apply, rhs_factory, solve, value_at
+from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
 from rsmerton.simulate import (
     ProportionalStrategy,
     SlopeOracle,
@@ -95,12 +95,29 @@ def _non_finite_paths(value, path: str) -> list[str]:
     return [p for sub, v in items for p in _non_finite_paths(v, sub)]
 
 
-def load_config(doc: str | dict) -> ExperimentConfig:
-    """Parse and validate an experiment config; errors carry field paths."""
+def _integer(value, path: str, minimum: int) -> int:
+    """An integer field of at least `minimum`; floats and booleans are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _parse(doc: str | dict) -> dict:
+    """A config document as a fresh dict; ConfigError unless it is a JSON object."""
     try:
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+        data = json.loads(doc) if isinstance(doc, str) else doc
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: not valid JSON ({e})") from e
+    if not isinstance(data, dict):
+        raise ConfigError("config: must be a JSON object")
+    return dict(data)
+
+
+def load_config(doc: str | dict) -> ExperimentConfig:
+    """Parse and validate an experiment config; errors carry field paths."""
+    data = _parse(doc)
     bad = _non_finite_paths(data, "config")
     if bad:
         raise ConfigError("; ".join(f"{path}: must be finite" for path in bad))
@@ -116,7 +133,7 @@ def load_config(doc: str | dict) -> ExperimentConfig:
             raise ConfigError("config.gammas: missing and config.market.gamma not set")
         gammas = [market["gamma"]]
     for k, g in enumerate(gammas):
-        if not isinstance(g, (int, float)) or not g < 1:
+        if isinstance(g, bool) or not isinstance(g, (int, float)) or not g < 1:
             raise ConfigError(f"config.gammas[{k}]: must be a number below 1, got {g!r}")
     try:
         market_spec_from_json({**market, "gamma": gammas[0]})
@@ -128,20 +145,15 @@ def load_config(doc: str | dict) -> ExperimentConfig:
     bad = set(outputs) - _OUTPUT_KINDS
     if bad:
         raise ConfigError(f"config.outputs: unknown kinds {sorted(bad)}")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         market=market,
         gammas=[float(g) for g in gammas],
         outputs=list(outputs),
-        grid=int(data.get("grid", 2048)),
-        paths=int(data.get("paths", 100_000)),
-        seed=int(data.get("seed", 20260811)),
+        grid=_integer(data.get("grid", 2048), "config.grid", 16),
+        paths=_integer(data.get("paths", 100_000), "config.paths", 1000),
+        seed=_integer(data.get("seed", 20260811), "config.seed", 0),
         out_dir=str(data.get("out_dir", "out")),
     )
-    if cfg.grid < 16:
-        raise ConfigError(f"config.grid: must be >= 16, got {cfg.grid}")
-    if cfg.paths < 1000:
-        raise ConfigError(f"config.paths: must be >= 1000, got {cfg.paths}")
-    return cfg
 
 
 def spec_hash(spec: MarketSpec) -> str:
@@ -214,7 +226,8 @@ def run(config: ExperimentConfig) -> int:
             path.write_text(curve.to_csv(meta=_curve_meta(spec, config.seed, config.grid)))
             entry["curve_csv"] = str(path)
         if "tables" in config.outputs:
-            table = solution.g_table if solution.branch == "power" else solution.h_table
+            # the coefficient that consumption inverts: g, or h
+            table = SolutionTable(solution.table.grid, solution.table.values[:, : spec.states])
             path = out / f"coefficients_g{tag}.csv"
             path.write_text(table.to_csv(header_meta=_curve_meta(spec, config.seed, config.grid)))
             entry["table_csv"] = str(path)
@@ -244,20 +257,9 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _validate_solution(spec, solution, curve) -> dict:
-    from rsmerton.equilibrium import _power_rhs_factory, log_system
-    from rsmerton.ode_engine import OdeSystem, residual_norm
-
-    if solution.branch == "power":
-        table = solution.g_table
-        rhs = _power_rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
-        sys_ref = OdeSystem(spec.states, rhs, np.ones(spec.states), spec.horizon)
-    else:
-        table = SolutionTable(
-            grid=solution.h_table.grid,
-            values=np.hstack([solution.h_table.values, solution.l_table.values]),
-        )
-        sys_ref = log_system(spec)
-    res = residual_norm(sys_ref, table)
+    rhs = rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
+    terminal = spec.prefs.terminal(spec.states)
+    res = residual_norm(OdeSystem(terminal.size, rhs, terminal, spec.horizon), solution.table)
     checks = _consumption_checks(curve.grid, curve.rates, spec.rho)
     passed = (
         res <= 1e-5
@@ -288,8 +290,6 @@ def _mc_value_check(spec, solution, config) -> dict:
     they diverge whenever the discount rate is genuinely state-dependent (see
     the frozen-discount note in the README).
     """
-    from rsmerton.equilibrium import value_at
-
     strategy = ProportionalStrategy.from_policy(solution)
     rows = []
     passed = True
@@ -388,18 +388,6 @@ def reproduce_fig1(out_dir: str, seed: int | None = None, grid: int = 2048) -> d
     return summary
 
 
-def generator_diagnostics(spec: MarketSpec, paths: int, seed: int) -> dict:
-    """Stationary distribution and chain-martingale z-score for a spec's generator."""
-    pi = stationary_distribution(spec.generator)
-    G = np.arange(spec.states, dtype=float)
-    rep = dynkin_check(spec.generator, G, spec.horizon, paths, RngSpec(seed=seed, stream=3))
-    return {
-        "stationary": pi.tolist(),
-        "dynkin_z": rep.z_score,
-        "passed": bool(abs(rep.z_score) < 3.0),
-    }
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rsmerton", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="verb", required=True)
@@ -425,23 +413,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, default_outputs) -> ExperimentConfig:
+    """The config file (or the built-in benchmark) with the flags laid over it, validated once."""
     if args.config is not None:
-        cfg = load_config(Path(args.config).read_text())
+        doc = _parse(Path(args.config).read_text())
     else:
-        cfg = ExperimentConfig(
-            market=dict(BENCHMARK_MARKET),
-            gammas=list(BENCHMARK_GAMMAS),
-            outputs=list(default_outputs),
-        )
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.paths is not None:
-        cfg.paths = args.paths
-    if args.grid is not None:
-        cfg.grid = args.grid
-    return cfg
+        doc = {"market": dict(BENCHMARK_MARKET), "gammas": list(BENCHMARK_GAMMAS),
+               "outputs": list(default_outputs)}
+    flags = {"out_dir": args.out, "seed": args.seed, "paths": args.paths, "grid": args.grid}
+    doc.update({key: value for key, value in flags.items() if value is not None})
+    return load_config(doc)
 
 
 def main(argv=None) -> int:
@@ -456,7 +436,8 @@ def main(argv=None) -> int:
                 cfg.outputs.append("validation")
             return run(cfg)
         if args.verb == "fig1":
-            summary = reproduce_fig1(args.out, seed=args.seed, grid=args.grid)
+            grid = _integer(args.grid, "--grid", 16)
+            summary = reproduce_fig1(args.out, seed=args.seed, grid=grid)
             ok = all(summary["checks"].values())
             print(json.dumps(summary["checks"]))
             return 0 if ok else 1

@@ -80,7 +80,14 @@ class RegimeGenerator:
 
 @dataclass(frozen=True)
 class Preferences:
-    """CRRA risk preferences; exactly one of power (gamma != 0) or log applies."""
+    """CRRA risk preferences; exactly one of power (gamma != 0) or log applies.
+
+    Both branches share one value ansatz, linear in the coefficients of a
+    table row: v = y_i x^gamma / gamma on the power branch (S columns) and
+    v = h_i log x + l_i on the log branch (h then l, 2S columns). Consumption
+    inverts marginal utility at the first S columns, and the risky fraction
+    is mu / (sigma^2 (1 - gamma)) with gamma = 0 on the log branch.
+    """
 
     gamma: float
     is_log: bool
@@ -90,6 +97,28 @@ class Preferences:
         if abs(gamma) < LOG_GAMMA_EPS:
             return cls(gamma=0.0, is_log=True)
         return cls(gamma=float(gamma), is_log=False)
+
+    def terminal(self, states: int) -> np.ndarray:
+        """Coefficient row at the horizon: y = 1, or h = 1 then l = 0."""
+        if self.is_log:
+            return np.concatenate([np.ones(states), np.zeros(states)])
+        return np.ones(states)
+
+    def value(self, row: np.ndarray, x: float, i: int) -> float:
+        """Value ansatz at wealth x in state i from one coefficient row."""
+        if x <= 0:
+            raise ValueError("wealth must be positive")
+        if self.is_log:
+            return float(row[i] * np.log(x) + row[row.size // 2 + i])
+        return float(row[i] * x**self.gamma / self.gamma)
+
+    def consumption(self, values: np.ndarray, states: int) -> np.ndarray:
+        """Consumption per unit wealth: U'^-1 of the first `states` columns."""
+        return inverse_marginal_utility(values[..., :states], self)
+
+    def investment(self, mu, sigma):
+        """Risky fraction of wealth, mu / (sigma^2 (1 - gamma))."""
+        return mu / (sigma**2 * (1.0 - self.gamma))
 
 
 @dataclass(frozen=True)
@@ -210,15 +239,6 @@ def utility(c, prefs: Preferences):
     return out if c.ndim else float(out)
 
 
-def marginal_utility(c, prefs: Preferences):
-    """U'(c) = c^(gamma-1) (power) or 1/c (log)."""
-    c = np.asarray(c, dtype=float)
-    if (c <= 0).any():
-        raise ValueError("marginal utility requires positive consumption")
-    out = 1.0 / c if prefs.is_log else np.power(c, prefs.gamma - 1.0)
-    return out if c.ndim else float(out)
-
-
 def inverse_marginal_utility(y, prefs: Preferences):
     """Inverse of U': y^(1/(gamma-1)) for power utility, 1/y for log."""
     y = np.asarray(y, dtype=float)
@@ -226,13 +246,6 @@ def inverse_marginal_utility(y, prefs: Preferences):
         raise ValueError("marginal utility values must be positive")
     out = 1.0 / y if prefs.is_log else np.power(y, 1.0 / (prefs.gamma - 1.0))
     return out if y.ndim else float(out)
-
-
-def excess_return(spec: MarketSpec, i: int) -> float:
-    """Stock excess return alpha - r in regime i."""
-    if not 0 <= i < spec.states:
-        raise IndexError(f"state {i} out of range for {spec.states} regimes")
-    return float(spec.alpha[i] - spec.r[i])
 
 
 @dataclass(frozen=True)

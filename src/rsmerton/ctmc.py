@@ -9,7 +9,6 @@ chain and the Brownian motion are independent by construction.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,50 +46,6 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class JumpPath:
-    """One realized chain trajectory: jump epochs and the state entered at each."""
-
-    initial_state: int
-    jump_times: np.ndarray
-    jump_targets: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        tg = np.asarray(self.jump_targets, dtype=np.int64)
-        if jt.size:
-            if not (np.diff(jt) > 0).all():
-                raise ValueError("jump times must be strictly increasing")
-            if jt[0] <= 0 or jt[-1] > self.horizon:
-                raise ValueError("jump times must lie in (0, horizon]")
-            states = np.concatenate([[self.initial_state], tg])
-            if (np.diff(states) == 0).any():
-                raise ValueError("self-jumps must not be recorded")
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_targets", tg)
-
-    @property
-    def n_jumps(self) -> int:
-        return self.jump_times.size
-
-    def state_at(self, t) -> np.ndarray | int:
-        """State at time t, right-continuous in t."""
-        t = np.asarray(t, dtype=float)
-        k = np.searchsorted(self.jump_times, t, side="right")
-        states = np.concatenate([[self.initial_state], self.jump_targets])
-        out = states[k]
-        return out if t.ndim else int(out)
-
-    def to_csv(self) -> str:
-        """Rows (t_jump, new_state) for debugging."""
-        buf = io.StringIO()
-        buf.write("t_jump,new_state\n")
-        for t, s in zip(self.jump_times, self.jump_targets):
-            buf.write(f"{t:.12g},{int(s)}\n")
-        return buf.getvalue()
-
-
 def _transition_tables(generator: RegimeGenerator):
     rates = generator.rates
     hold = generator.holding_rates()
@@ -101,33 +56,6 @@ def _transition_tables(generator: RegimeGenerator):
             probs[i] = rates[i] / hold[i]
             probs[i, i] = 0.0
     return hold, np.cumsum(probs, axis=1)
-
-
-def sample_path(
-    generator: RegimeGenerator, initial: int, horizon: float, rng: RngSpec
-) -> JumpPath:
-    """Sample one chain trajectory on [0, horizon] starting from `initial`."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    hold, pcum = _transition_tables(generator)
-    g = rng.generator(CHAIN_SUBSTREAM)
-    t, s = 0.0, int(initial)
-    times, targets = [], []
-    while True:
-        if hold[s] <= 0:
-            break  # absorbing
-        t += g.exponential(1.0 / hold[s])
-        if t > horizon:
-            break
-        s = int(np.searchsorted(pcum[s], g.random(), side="right"))
-        times.append(t)
-        targets.append(s)
-    return JumpPath(
-        initial_state=int(initial),
-        jump_times=np.array(times),
-        jump_targets=np.array(targets, dtype=np.int64),
-        horizon=horizon,
-    )
 
 
 @dataclass(frozen=True)

@@ -124,33 +124,23 @@ def solve_market_ode(
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Solved coefficient tables for one market spec.
+    """Solved coefficient table for one market spec: g(t, i), or h(t, i) then l(t, i).
 
-    Power branch: g_table holds g(t, i). Log branch: h_table and l_table hold
-    the log-wealth coefficient and the intercept.
+    spec.prefs maps a row of the table to values and consumption.
     """
 
     spec: MarketSpec
-    branch: str  # "power" | "log"
-    g_table: SolutionTable | None = None
-    h_table: SolutionTable | None = None
-    l_table: SolutionTable | None = None
+    table: SolutionTable
     coeffs: PiecewiseCoefficients | None = None
-    n_steps: int = 0
 
-    def consumption_rate(self, t, i: int):
-        """Consumption as a fraction of wealth in regime i at time t (1/year)."""
-        if self.branch == "power":
-            return np.power(self.g_table.component(t, i), 1.0 / (self.spec.gamma - 1.0))
-        return 1.0 / self.h_table.component(t, i)
+    @property
+    def g_table(self) -> SolutionTable:
+        """The table under the power branch's name, as picard_apply reads it."""
+        return self.table
 
     def consumption_curve(self) -> "ConsumptionCurve":
-        table = self.g_table if self.branch == "power" else self.h_table
-        if self.branch == "power":
-            rates = np.power(table.values, 1.0 / (self.spec.gamma - 1.0))
-        else:
-            rates = 1.0 / table.values
-        return ConsumptionCurve(grid=table.grid, rates=rates)
+        rates = self.spec.prefs.consumption(self.table.values, self.spec.states)
+        return ConsumptionCurve(grid=self.table.grid, rates=rates)
 
 
 @dataclass(frozen=True)
@@ -179,16 +169,37 @@ def solve_g(
     coeffs: PiecewiseCoefficients | None = None,
 ) -> EquilibriumSolution:
     """Solve the coupled nonlinear g-system backward from g(T, i) = 1 (power branch)."""
-    validate_spec(spec)
-    if spec.prefs.is_log:
+    if validate_spec(spec).prefs.is_log:
         raise ValueError("solve_g is the power branch; use solve_log for gamma = 0")
+    return _solve_branch(spec, n_steps, tol, coeffs)
+
+
+def solve_log(
+    spec: MarketSpec,
+    n_steps: int = 2048,
+    tol: float = 1e-9,
+    coeffs: PiecewiseCoefficients | None = None,
+) -> EquilibriumSolution:
+    """Solve the linear h- and l-systems backward from h(T)=1, l(T)=0 (log branch)."""
+    if not validate_spec(spec).prefs.is_log:
+        raise ValueError("solve_log is the log branch; use solve_g for gamma != 0")
+    return _solve_branch(spec, n_steps, tol, coeffs)
+
+
+def _solve_branch(spec, n_steps, tol, coeffs) -> EquilibriumSolution:
+    """The one solve behind solve_g and solve_log; the first S columns stay positive."""
+    terminal = spec.prefs.terminal(spec.states)
+    floor = np.full(terminal.size, -np.inf)
+    floor[: spec.states] = G_POSITIVITY_FLOOR
     table = solve_market_ode(
-        _power_rhs_factory(spec), spec, coeffs, np.ones(spec.states), n_steps, tol,
-        positivity_floor=G_POSITIVITY_FLOOR,
+        rhs_factory(spec), spec, coeffs, terminal, n_steps, tol, positivity_floor=floor
     )
-    return EquilibriumSolution(
-        spec=spec, branch="power", g_table=table, coeffs=coeffs, n_steps=table.grid.size - 1
-    )
+    return EquilibriumSolution(spec=spec, table=table, coeffs=coeffs)
+
+
+def rhs_factory(spec: MarketSpec):
+    """Leg-wise right-hand side of the spec's coefficient system: g, or h then l."""
+    return _log_rhs_factory(spec) if spec.prefs.is_log else _power_rhs_factory(spec)
 
 
 def _power_rhs_factory(spec: MarketSpec):
@@ -234,96 +245,17 @@ def _log_rhs_factory(spec: MarketSpec):
     return make_rhs
 
 
-def log_system(
-    spec: MarketSpec, coeffs: PiecewiseCoefficients | None = None, t: float = 0.0
-) -> OdeSystem:
-    """Joint (h, l) terminal-value system with the coefficients in force at time t.
-
-    Mainly a residual-checking surface; solve_log integrates leg by leg.
-    """
-    S = spec.states
-    r, mu, sigma = coefficients_at(spec, t, coeffs)
-    terminal = np.concatenate([np.ones(S), np.zeros(S)])
-    floor = np.concatenate([np.full(S, G_POSITIVITY_FLOOR), np.full(S, -np.inf)])
-    return OdeSystem(
-        dimension=2 * S,
-        rhs=_log_rhs_factory(spec)(r, mu, sigma),
-        terminal_values=terminal,
-        horizon=spec.horizon,
-        positivity_floor=floor,
-    )
-
-
-def solve_log(
-    spec: MarketSpec,
-    n_steps: int = 2048,
-    tol: float = 1e-9,
-    coeffs: PiecewiseCoefficients | None = None,
-) -> EquilibriumSolution:
-    """Solve the linear h- and l-systems backward from h(T)=1, l(T)=0 (log branch)."""
-    validate_spec(spec)
-    if not spec.prefs.is_log:
-        raise ValueError("solve_log is the log branch; use solve_g for gamma != 0")
-    S = spec.states
-    terminal = np.concatenate([np.ones(S), np.zeros(S)])
-    floor = np.concatenate([np.full(S, G_POSITIVITY_FLOOR), np.full(S, -np.inf)])
-    table = solve_market_ode(
-        _log_rhs_factory(spec), spec, coeffs, terminal, n_steps, tol,
-        positivity_floor=floor,
-    )
-    h = SolutionTable(grid=table.grid, values=table.values[:, :S])
-    low = SolutionTable(grid=table.grid, values=table.values[:, S:])
-    return EquilibriumSolution(
-        spec=spec, branch="log", h_table=h, l_table=low, coeffs=coeffs,
-        n_steps=table.grid.size - 1,
-    )
-
-
 def solve(spec: MarketSpec, **kwargs) -> EquilibriumSolution:
     """Dispatch to the power or log branch based on the spec's preferences."""
     return solve_log(spec, **kwargs) if spec.prefs.is_log else solve_g(spec, **kwargs)
 
 
-@dataclass(frozen=True)
-class PolicyField:
-    """Feedback maps (t, x, i) -> (investment dollars, consumption rate), linear in x."""
-
-    solution: EquilibriumSolution
-
-    def at(self, t: float, x: float, i: int) -> tuple[float, float]:
-        sol = self.solution
-        spec = sol.spec
-        if not 0.0 <= t <= spec.horizon:
-            raise ValueError(f"t={t} outside [0, {spec.horizon}]")
-        if x < 0:
-            raise ValueError("wealth must be nonnegative")
-        if not 0 <= i < spec.states:
-            raise IndexError(f"state {i} out of range")
-        _, mu, sigma = coefficients_at(spec, t, sol.coeffs)
-        gamma = spec.gamma if sol.branch == "power" else 0.0
-        invest = mu[i] * x / (sigma[i] ** 2 * (1.0 - gamma))
-        consume = float(sol.consumption_rate(t, i)) * x
-        return float(invest), consume
-
-
-def policy_at(field: PolicyField, t: float, x: float, i: int) -> tuple[float, float]:
-    """Evaluate the feedback policy; see PolicyField.at."""
-    return field.at(t, x, i)
-
-
 def value_at(solution: EquilibriumSolution, t: float, x: float, i: int) -> float:
     """Value-ansatz evaluation: g(t,i) x^gamma/gamma, or h(t,i) log x + l(t,i)."""
     spec = solution.spec
-    if x <= 0:
-        raise ValueError("wealth must be positive")
     if not 0.0 <= t <= spec.horizon:
         raise ValueError(f"t={t} outside [0, {spec.horizon}]")
-    if solution.branch == "power":
-        g = solution.g_table.component(t, i)
-        return float(g * x**spec.gamma / spec.gamma)
-    h = solution.h_table.component(t, i)
-    low = solution.l_table.component(t, i)
-    return float(h * np.log(x) + low)
+    return spec.prefs.value(solution.table.interpolate(t), x, i)
 
 
 def merton_eta(spec: MarketSpec) -> float:

@@ -191,19 +191,6 @@ def residual_norm(system: OdeSystem, table: SolutionTable) -> float:
     return worst
 
 
-def cumulative_trapezoid(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of per-column tables; exact for piecewise-linear data.
-
-    Returns an array of the same shape with zeros in the first row.
-    """
-    dt = np.diff(grid)
-    inc = 0.5 * (values[1:] + values[:-1]) * dt[:, None]
-    out = np.empty_like(values)
-    out[0] = 0.0
-    np.cumsum(inc, axis=0, out=out[1:])
-    return out
-
-
 def interp_by_state(grid: np.ndarray, table: np.ndarray, t: np.ndarray, state: np.ndarray):
     """table[:, state] interpolated at per-element times t, bit for bit as np.interp.
 

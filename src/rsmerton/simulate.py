@@ -3,8 +3,7 @@
 The wealth SDE under a proportional feedback strategy (invest a(t,i)x,
 consume b(t,i)x) is linear, so the exact scheme integrates it in log space:
 log X gains int (r + mu a - b - sigma^2 a^2 / 2) ds + sigma a dW over each
-constant-state segment, which keeps wealth strictly positive. The Euler
-scheme applies the raw increment and flags paths that go nonpositive.
+constant-state segment, which keeps wealth strictly positive.
 
 The expected-utility functional discounts the whole remaining horizon at the
 rate rho_i of the state occupied at the evaluation time, even after the chain
@@ -24,17 +23,12 @@ import numpy as np
 from rsmerton.core_model import (
     MarketSpec,
     PiecewiseCoefficients,
+    Preferences,
     coefficients_at,
     utility,
     validate_spec,
 )
-from rsmerton.ctmc import (
-    DIFFUSION_SUBSTREAM,
-    JumpPath,
-    RngSpec,
-    cell_blocks,
-    sample_skeletons,
-)
+from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.equilibrium import EquilibriumSolution, solve, solve_market_ode
 from rsmerton.ode_engine import (
     SolutionTable,
@@ -100,18 +94,12 @@ class ProportionalStrategy:
     def from_policy(cls, solution: EquilibriumSolution) -> "ProportionalStrategy":
         """Tabulate the solved feedback policy on its own solve grid."""
         spec = solution.spec
-        table = solution.g_table if solution.branch == "power" else solution.h_table
-        grid = table.grid
-        gamma = spec.gamma if solution.branch == "power" else 0.0
+        grid = solution.table.grid
         a = np.empty((grid.size, spec.states))
         for k, t in enumerate(grid):
             _, mu, sigma = coefficients_at(spec, float(t), solution.coeffs)
-            a[k] = mu / (sigma**2 * (1.0 - gamma))
-        if solution.branch == "power":
-            b = np.power(table.values, 1.0 / (gamma - 1.0))
-        else:
-            b = 1.0 / table.values
-        return cls(grid, a, b)
+            a[k] = spec.prefs.investment(mu, sigma)
+        return cls(grid, a, spec.prefs.consumption(solution.table.values, spec.states))
 
     def values_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-state (a, b) vectors at time t."""
@@ -180,79 +168,7 @@ def _cumulative_tables(strategy: ProportionalStrategy, spec: MarketSpec, coeffs)
     inc_v = s2_c * int_a2
     cd = np.vstack([np.zeros((1, S)), np.cumsum(inc_d, axis=0)])
     cv = np.vstack([np.zeros((1, S)), np.cumsum(inc_v, axis=0)])
-    return tg, cd, cv, a_tab, b_tab
-
-
-@dataclass(frozen=True)
-class WealthPath:
-    """Simulated wealth along one chain trajectory on a merged time grid."""
-
-    grid: np.ndarray
-    wealth: np.ndarray
-    path: JumpPath
-    scheme: str
-    valid: bool
-    first_invalid: int | None
-    seed: int
-    stream: int
-
-
-def simulate_wealth(
-    strategy: ProportionalStrategy,
-    x0: float,
-    path: JumpPath,
-    spec: MarketSpec,
-    n_grid: int,
-    rng: RngSpec,
-    scheme: str = "exact",
-    coeffs: PiecewiseCoefficients | None = None,
-) -> WealthPath:
-    """Integrate the wealth SDE along one chain path.
-
-    The time grid is uniform with the path's jump times inserted as
-    breakpoints. The exact scheme accumulates log-wealth segment integrals
-    (wealth stays positive); the Euler scheme applies raw increments and
-    flags the first node where wealth is nonpositive. Both schemes consume
-    one normal draw per segment in the same order, so they can be compared
-    on the same driving noise.
-    """
-    if x0 <= 0:
-        raise ValueError("initial wealth must be positive")
-    if scheme not in ("exact", "euler"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    validate_spec(spec)
-    T = spec.horizon
-    grid = np.unique(np.concatenate([np.linspace(0.0, T, n_grid + 1), path.jump_times]))
-    tg, cd, cv, a_tab, b_tab = _cumulative_tables(strategy, spec, coeffs)
-    lo, hi = grid[:-1], grid[1:]
-    states = path.state_at(lo)  # constant on each segment by construction
-    z = rng.generator(DIFFUSION_SUBSTREAM).standard_normal(lo.size)
-    dW = np.sqrt(hi - lo) * z
-    if scheme == "exact":
-        d_seg = interp_by_state(tg, cd, hi, states) - interp_by_state(tg, cd, lo, states)
-        v_seg = np.clip(
-            interp_by_state(tg, cv, hi, states) - interp_by_state(tg, cv, lo, states), 0.0, None
-        )
-        log_x = np.log(x0) + np.concatenate([[0.0], np.cumsum(d_seg + np.sqrt(v_seg) * z)])
-        wealth = np.exp(log_x)
-        return WealthPath(grid, wealth, path, scheme, True, None, rng.seed, rng.stream)
-    # Euler: point-evaluated coefficients at segment left ends
-    a_lo = interp_by_state(tg, a_tab, lo, states)
-    b_lo = interp_by_state(tg, b_tab, lo, states)
-    r_lo = np.empty_like(lo)
-    mu_lo = np.empty_like(lo)
-    s_lo = np.empty_like(lo)
-    for k in range(lo.size):
-        r, mu, sigma = coefficients_at(spec, float(lo[k]), coeffs)
-        s = int(states[k])
-        r_lo[k], mu_lo[k], s_lo[k] = r[s], mu[s], sigma[s]
-    factors = 1.0 + (r_lo + mu_lo * a_lo - b_lo) * (hi - lo) + s_lo * a_lo * dW
-    wealth = x0 * np.concatenate([[1.0], np.cumprod(factors)])
-    bad = np.nonzero(wealth <= 0.0)[0]
-    first_bad = int(bad[0]) if bad.size else None
-    return WealthPath(
-        grid, wealth, path, scheme, first_bad is None, first_bad, rng.seed, rng.stream
-    )
+    return tg, cd, cv, b_tab
 
 
 def estimate_J(
@@ -295,7 +211,7 @@ def estimate_J(
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(t, T, n_grid + 1)
     dt = np.diff(edges)
-    tg, cd, cv, _a_tab, b_tab = _cumulative_tables(strategy, spec, coeffs)
+    tg, cd, cv, b_tab = _cumulative_tables(strategy, spec, coeffs)
     S = spec.states
     # log(b x) at the edges, flat by edge * S + state
     log_bx = np.log(interp_by_state(tg, b_tab, edges[:, None], np.arange(S)).ravel() * x)
@@ -357,7 +273,7 @@ def sample_terminal_wealth(
     skel = sample_skeletons(spec.generator, i, 0.0, T, n_paths, rng)
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(0.0, T, n_grid + 1)
-    tg, cd, cv, _a_tab, _b_tab = _cumulative_tables(strategy, spec, coeffs)
+    tg, cd, cv, _b_tab = _cumulative_tables(strategy, spec, coeffs)
     log_x = np.full(n_paths, np.log(x0))
     for blk in cell_blocks(skel, edges, ((tg, cd), (tg, cv))):
         log_x = _log_wealth_rows(log_x, blk, zgen)[-1]
@@ -368,25 +284,18 @@ def sample_terminal_wealth(
 class FrozenValueTable:
     """Deterministic value of a proportional strategy under a frozen discount rate.
 
-    Power branch: J(t, x, row) = f(t, row) x^gamma / gamma. Log branch:
-    J = h(t, row) log x + l(t, row). The functional J(t, x, i) of the
+    table holds f(t, row), with J(t, x, row) = f x^gamma / gamma, or h(t, row)
+    then l(t, row), with J = h log x + l. The functional J(t, x, i) of the
     state-rho_i discount convention is read at row i from the table computed
     with frozen_rho = rho_i.
     """
 
-    branch: str
     frozen_rho: float
-    gamma: float
-    f_table: SolutionTable | None = None
-    h_table: SolutionTable | None = None
-    l_table: SolutionTable | None = None
+    prefs: Preferences
+    table: SolutionTable
 
     def value(self, t: float, x: float, row: int) -> float:
-        if x <= 0:
-            raise ValueError("wealth must be positive")
-        if self.branch == "power":
-            return float(self.f_table.component(t, row) * x**self.gamma / self.gamma)
-        return float(self.h_table.component(t, row) * np.log(x) + self.l_table.component(t, row))
+        return self.prefs.value(self.table.interpolate(t), x, row)
 
 
 def _fk_rhs_factory(strategy: ProportionalStrategy, frozen_rho: float, spec: MarketSpec):
@@ -424,13 +333,6 @@ def _fk_rhs_factory(strategy: ProportionalStrategy, frozen_rho: float, spec: Mar
     return make_rhs
 
 
-def _fk_terminal(spec: MarketSpec) -> np.ndarray:
-    S = spec.states
-    if spec.prefs.is_log:
-        return np.concatenate([np.ones(S), np.zeros(S)])
-    return np.ones(S)
-
-
 def feynman_kac_value(
     strategy: ProportionalStrategy,
     frozen_rho: float,
@@ -446,20 +348,11 @@ def feynman_kac_value(
     """
     validate_spec(spec)
     _utility_domain_check(strategy, spec)
-    S = spec.states
     table = solve_market_ode(
         _fk_rhs_factory(strategy, frozen_rho, spec), spec, coeffs,
-        _fk_terminal(spec), n_steps, tol=None,
+        spec.prefs.terminal(spec.states), n_steps, tol=None,
     )
-    if spec.prefs.is_log:
-        return FrozenValueTable(
-            branch="log", frozen_rho=frozen_rho, gamma=0.0,
-            h_table=SolutionTable(table.grid, table.values[:, :S]),
-            l_table=SolutionTable(table.grid, table.values[:, S:]),
-        )
-    return FrozenValueTable(
-        branch="power", frozen_rho=frozen_rho, gamma=spec.gamma, f_table=table
-    )
+    return FrozenValueTable(frozen_rho=frozen_rho, prefs=spec.prefs, table=table)
 
 
 @dataclass(frozen=True)
@@ -497,7 +390,7 @@ class SlopeOracle:
         self.base = ProportionalStrategy.from_policy(self.solution)
         self.n_steps_tail = n_steps_tail
         self.n_steps_window = n_steps_window
-        self._terminal = _fk_terminal(spec)
+        self._terminal = spec.prefs.terminal(spec.states)
         self._tails: dict = {}
         self._eq_windows: dict = {}
 
@@ -524,12 +417,6 @@ class SlopeOracle:
         )
         return table.values[0]
 
-    def _value(self, f0: np.ndarray, x: float, i: int) -> float:
-        spec = self.spec
-        if spec.prefs.is_log:
-            return float(f0[i] * np.log(x) + f0[spec.states + i])
-        return float(f0[i] * x**spec.gamma / spec.gamma)
-
     def slope(
         self,
         t: float,
@@ -551,8 +438,8 @@ class SlopeOracle:
             key = (i, t, eps)
             if key not in self._eq_windows:
                 self._eq_windows[key] = self._window_f0(self.base, t, i, eps)
-            j_eq = self._value(self._eq_windows[key], x, i)
-            j_pert = self._value(self._window_f0(perturbation, t, i, eps), x, i)
+            j_eq = self.spec.prefs.value(self._eq_windows[key], x, i)
+            j_pert = self.spec.prefs.value(self._window_f0(perturbation, t, i, eps), x, i)
             slopes.append((j_eq - j_pert) / eps)
         slopes = np.asarray(slopes)
         if epsilons.size >= 2:
@@ -564,32 +451,6 @@ class SlopeOracle:
         return SlopeResult(
             t=t, state=i, x=x, epsilons=epsilons, slopes=slopes, extrapolated=extrapolated
         )
-
-
-def equilibrium_slope(
-    spec: MarketSpec,
-    t: float,
-    x: float,
-    i: int,
-    perturbation: ProportionalStrategy,
-    epsilons=None,
-    solution: EquilibriumSolution | None = None,
-    coeffs: PiecewiseCoefficients | None = None,
-    n_steps_tail: int = 2048,
-    n_steps_window: int = 256,
-) -> SlopeResult:
-    """Richardson-extrapolated slope [J(policy) - J(spliced)] / eps as eps -> 0.
-
-    The spliced strategy equals the perturbation on [t, t + eps] and the
-    solved feedback policy elsewhere. Both functionals are priced with the
-    deterministic frozen-discount oracle (discount rho_i), solved in two
-    legs so the splice point is a grid boundary, never an interior kink.
-    """
-    oracle = SlopeOracle(
-        spec, solution=solution, coeffs=coeffs,
-        n_steps_tail=n_steps_tail, n_steps_window=n_steps_window,
-    )
-    return oracle.slope(t, x, i, perturbation, epsilons=epsilons)
 
 
 def perturbation_menu(solution: EquilibriumSolution) -> dict[str, ProportionalStrategy]:

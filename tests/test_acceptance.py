@@ -61,12 +61,11 @@ def test_criterion_1_constant_rho_closed_form():
 def test_criterion_2_terminal_conditions():
     devs = []
     for gamma in BENCH_GAMMAS:
-        sol = solve(benchmark_spec(gamma))
-        if sol.branch == "power":
-            assert (sol.g_table.values[-1] == 1.0).all()
-        else:
-            assert (sol.h_table.values[-1] == 1.0).all()
-            assert (sol.l_table.values[-1] == 0.0).all()
+        spec = benchmark_spec(gamma)
+        sol = solve(spec)
+        terminal = sol.table.values[-1]  # g, or h then l
+        assert (terminal[: spec.states] == 1.0).all()
+        assert (terminal[spec.states:] == 0.0).all()
         devs.append(float(np.abs(sol.consumption_curve().rates[-1] - 1.0).max()))
     worst = max(devs)
     ok = report(2, worst <= 1e-6, "terminal coefficient and consumption",
@@ -77,7 +76,7 @@ def test_criterion_2_terminal_conditions():
 def test_criterion_3_log_discount_ordering():
     with Clock() as c:
         sol = solve_log(benchmark_spec(0.0))
-        h = sol.h_table.values
+        h = sol.table.values[:, :2]
         curve = sol.consumption_curve().rates
         strict_h = bool((h[:-1, 0] < h[:-1, 1]).all())
         strict_c = bool((curve[:-1, 0] > curve[:-1, 1]).all())
@@ -151,7 +150,7 @@ def test_criterion_7_value_identity():
             strat = ProportionalStrategy.from_policy(sol)
             fk = feynman_kac_value(strat, 0.9, spec)
             fk_dev = max(fk_dev, float(np.abs(
-                fk.f_table.values - sol.g_table.interpolate(fk.f_table.grid)).max()))
+                fk.table.values - sol.g_table.interpolate(fk.table.grid)).max()))
             targets = [value_at(sol, 0.0, 1.0, i) for i in range(2)]
             distinct &= abs(targets[0] - targets[1]) > 1e-3 * abs(targets[0])
             for i in range(2):

@@ -7,7 +7,6 @@ from rsmerton.cli import (
     BENCHMARK_MARKET,
     ConfigError,
     benchmark_spec,
-    generator_diagnostics,
     load_config,
     main,
     reproduce_fig1,
@@ -15,6 +14,7 @@ from rsmerton.cli import (
     slope_certificate,
     spec_hash,
 )
+from rsmerton.ctmc import RngSpec, dynkin_check, stationary_distribution
 
 
 def minimal_config(out_dir, **extra):
@@ -25,6 +25,14 @@ def minimal_config(out_dir, **extra):
         "out_dir": str(out_dir),
         **extra,
     }
+
+
+# Values a bare int() would crash on ("fine", and -5 inside numpy's seeding)
+# or quietly truncate or coerce (300.7 to 300, True to seed 1).
+BAD_INTEGERS = [
+    ("grid", "fine"), ("grid", 300.7), ("grid", 4), ("paths", 2000.9), ("paths", 1),
+    ("seed", True), ("seed", -5),
+]
 
 
 class TestConfigParsing:
@@ -151,6 +159,36 @@ class TestMain:
         assert "config.market.rho[0]: must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", BAD_INTEGERS + [("gammas", [False])])
+    def test_bad_config_value_returns_2(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, **{field: value})))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config.{field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, path", [
+        (["validate", "--paths", "1"], "config.paths"),
+        (["solve", "--grid", "4"], "config.grid"),
+        (["solve", "--seed", "-5"], "config.seed"),
+        (["fig1", "--grid", "4"], "--grid"),
+    ])
+    def test_flags_pass_the_config_checks(self, tmp_path, capsys, argv, path):
+        # An unchecked flag lets `validate --paths 1` pass its Monte-Carlo
+        # gate on a zero stderr and `solve --grid 4` stamp grid=4 on a CSV.
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path / "ignored")))
+        assert main(["solve", "--config", str(cfg_path), "--grid", "128", "--seed", "5",
+                     "--out", str(tmp_path / "out")]) == 0
+        head = (tmp_path / "out" / "consumption_g-1.csv").read_text().splitlines()[0]
+        assert "grid=128" in head and "seed=5" in head
+
     def test_fig1_small_grid(self, tmp_path, capsys):
         assert main(["fig1", "--out", str(tmp_path), "--grid", "256"]) == 0
         out = capsys.readouterr().out
@@ -203,9 +241,12 @@ class TestSlopeCertificate:
 
 class TestDiagnostics:
     def test_generator_diagnostics(self):
-        d = generator_diagnostics(benchmark_spec(-1.0), paths=5000, seed=3)
-        np.testing.assert_allclose(d["stationary"], np.array([10.9, 6.04]) / 16.94, atol=1e-10)
-        assert d["passed"]
+        spec = benchmark_spec(-1.0)
+        pi = stationary_distribution(spec.generator)
+        np.testing.assert_allclose(pi, np.array([10.9, 6.04]) / 16.94, atol=1e-10)
+        G = np.arange(spec.states, dtype=float)
+        rep = dynkin_check(spec.generator, G, spec.horizon, 5000, RngSpec(seed=3, stream=3))
+        assert abs(rep.z_score) < 3.0
 
     def test_spec_hash_stable_and_sensitive(self):
         a = spec_hash(benchmark_spec(-1.0))

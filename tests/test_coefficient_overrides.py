@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rsmerton.core_model import PiecewiseCoefficients
-from rsmerton.ctmc import RngSpec, sample_path
+from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import picard_apply, solve_g, growth_exponent
 from rsmerton.ode_engine import OdeSystem, rk4_solve
-from rsmerton.simulate import ProportionalStrategy, feynman_kac_value, simulate_wealth
+from rsmerton.simulate import ProportionalStrategy, feynman_kac_value, sample_terminal_wealth
 from tests.conftest import make_spec
 
 
@@ -107,12 +107,12 @@ class TestSolversHonorOverrides:
 class TestSimulationHonorsOverrides:
     def test_constant_override_reproduces_base_wealth(self, bench_spec):
         strat = ProportionalStrategy.from_constants(0.8, 0.5, 1.0, n_states=2)
-        p = sample_path(bench_spec.generator, 0, 1.0, RngSpec(seed=21))
-        base = simulate_wealth(strat, 1.0, p, bench_spec, 64, RngSpec(seed=21))
-        with_ov = simulate_wealth(
-            strat, 1.0, p, bench_spec, 64, RngSpec(seed=21), coeffs=constant_override()
+        rng = RngSpec(seed=21)
+        base = sample_terminal_wealth(strat, 1.0, 0, bench_spec, 200, rng, n_grid=64)
+        with_ov = sample_terminal_wealth(
+            strat, 1.0, 0, bench_spec, 200, rng, n_grid=64, coeffs=constant_override()
         )
-        np.testing.assert_allclose(base.wealth, with_ov.wealth, rtol=1e-12)
+        np.testing.assert_allclose(base, with_ov, rtol=1e-12)
 
     def test_two_phase_deterministic_growth(self):
         # No risky exposure, no consumption: X(T) = exp(int r) with the
@@ -125,15 +125,14 @@ class TestSimulationHonorsOverrides:
             sigma=np.array([[0.25, 0.25], [0.25, 0.25]]),
         )
         strat = ProportionalStrategy.from_constants(0.0, 0.0, 1.0, n_states=2)
-        path = sample_path(spec.generator, 0, 1.0, RngSpec(seed=1))
-        wp = simulate_wealth(strat, 1.0, path, spec, 64, RngSpec(seed=1), coeffs=ov)
-        assert wp.wealth[-1] == pytest.approx(np.exp(0.5 * 0.05 + 0.5 * 0.10), rel=1e-12)
+        xt = sample_terminal_wealth(strat, 1.0, 0, spec, 4, RngSpec(seed=1), n_grid=64, coeffs=ov)
+        np.testing.assert_allclose(xt, np.exp(0.5 * 0.05 + 0.5 * 0.10), rtol=1e-12)
 
     def test_feynman_kac_with_override_matches_plain_constant_case(self, bench_spec):
         strat = ProportionalStrategy.from_constants(0.6, 0.4, 1.0, n_states=2)
         base = feynman_kac_value(strat, 0.9, bench_spec)
         with_ov = feynman_kac_value(strat, 0.9, bench_spec, coeffs=constant_override())
-        np.testing.assert_array_equal(base.f_table.values, with_ov.f_table.values)
+        np.testing.assert_array_equal(base.table.values, with_ov.table.values)
 
     def test_picard_with_override_stays_fixed_point(self, bench_spec):
         sol = solve_g(bench_spec, coeffs=constant_override())

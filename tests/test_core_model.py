@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from rsmerton.core_model import (
     Preferences,
     SpecValidationError,
-    excess_return,
     inverse_marginal_utility,
-    marginal_utility,
     market_spec_from_json,
     market_spec_to_json,
     utility,
@@ -138,27 +136,30 @@ class TestInverseMarginalUtility:
     )
     def test_inverts_marginal_utility(self, c, gamma):
         prefs = Preferences.from_gamma(gamma)
-        back = inverse_marginal_utility(marginal_utility(c, prefs), prefs)
+        marginal = 1.0 / c if prefs.is_log else c ** (prefs.gamma - 1.0)  # U'(c)
+        back = inverse_marginal_utility(marginal, prefs)
         assert back == pytest.approx(c, rel=1e-12)
 
 
 class TestExcessReturn:
+    """The per-state excess return alpha - r, MarketSpec.mu."""
+
     def test_benchmark_value(self):
         spec = make_spec(mu=0.15, r=0.05)
-        assert excess_return(spec, 0) == pytest.approx(0.15)
+        assert spec.mu[0] == pytest.approx(0.15)
 
     def test_zero_when_alpha_equals_r(self):
         spec = make_spec(mu=0.0, r=0.05)
-        assert excess_return(spec, 1) == 0.0
+        assert spec.mu[1] == 0.0
 
     def test_negative_excess_return_permitted(self):
         spec = make_spec(mu=-0.02, r=0.05)
-        assert excess_return(spec, 0) == pytest.approx(-0.02)
+        assert spec.mu[0] == pytest.approx(-0.02)
         validate_spec(spec)
 
     def test_state_out_of_range(self, bench_spec):
         with pytest.raises(IndexError):
-            excess_return(bench_spec, 2)
+            bench_spec.mu[2]
 
 
 class TestJsonInterface:

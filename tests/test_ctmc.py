@@ -5,13 +5,11 @@ from scipy.linalg import expm
 from rsmerton import ctmc
 from rsmerton.core_model import RegimeGenerator
 from rsmerton.ctmc import (
-    JumpPath,
-    RngSpec,
     JumpSkeletons,
+    RngSpec,
     cell_blocks,
     dynkin_check,
     occupation_times,
-    sample_path,
     sample_skeletons,
     stationary_distribution,
 )
@@ -20,48 +18,51 @@ BENCH = RegimeGenerator([[-6.04, 6.04], [10.9, -10.9]])
 
 
 class TestJumpPath:
+    """Single chain trajectories, as columns of a JumpSkeletons ensemble."""
+
     def test_state_at_is_right_continuous(self):
-        p = JumpPath(0, np.array([0.4, 0.7]), np.array([1, 0]), 1.0)
-        assert p.state_at(0.0) == 0
-        assert p.state_at(0.4) == 1  # state after the jump, at the jump time
-        assert p.state_at(0.69) == 1
-        assert p.state_at(0.7) == 0
+        p = _hand_built([[0.4, 0.7]], [[1, 0]])
+        at = lambda t: int(p.state_at(np.array([t]))[0])
+        assert at(0.0) == 0
+        assert at(0.4) == 1  # state after the jump, at the jump time
+        assert at(0.69) == 1
+        assert at(0.7) == 0
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            JumpPath(0, np.array([0.5, 0.4]), np.array([1, 0]), 1.0)
-        with pytest.raises(ValueError, match="self-jumps"):
-            JumpPath(0, np.array([0.4]), np.array([0]), 1.0)
-        with pytest.raises(ValueError, match=r"\(0, horizon\]"):
-            JumpPath(0, np.array([1.4]), np.array([1]), 1.0)
-
-    def test_csv_rows(self):
-        p = JumpPath(0, np.array([0.25]), np.array([1]), 1.0)
-        lines = p.to_csv().strip().splitlines()
-        assert lines[0] == "t_jump,new_state"
-        assert lines[1] == "0.25,1"
+        # Sampled paths: jump times strictly increasing inside (t_start,
+        # horizon), inf padding after the last jump, and no self-jumps.
+        gen = RegimeGenerator([[-3.0, 2.0, 1.0], [0.5, -1.5, 1.0], [1.0, 2.0, -3.0]])
+        for g, initial in ((BENCH, 0), (gen, 2)):
+            skel = sample_skeletons(g, initial, 0.25, 1.0, 2000, RngSpec(seed=14))
+            jt = skel.jump_times
+            live = np.isfinite(jt)
+            assert (jt[live] > 0.25).all() and (jt[live] < 1.0).all()
+            assert (live[:-1] >= live[1:]).all()  # no finite time after inf padding
+            assert (jt[1:][live[1:]] > jt[:-1][live[1:]]).all()
+            before = np.vstack([np.full((1, skel.n_paths), initial), skel.states_after[:-1]])
+            assert (skel.states_after[live] != before[live]).all()
 
 
 class TestSamplePath:
     def test_zero_generator_never_jumps(self):
         gen = RegimeGenerator([[0.0, 0.0], [0.0, 0.0]])
-        p = sample_path(gen, 1, 5.0, RngSpec(seed=3))
-        assert p.n_jumps == 0
-        assert p.state_at(4.99) == 1
+        skel = sample_skeletons(gen, 1, 0.0, 5.0, 10, RngSpec(seed=3))
+        assert skel.max_jumps == 0
+        assert (skel.state_at(np.full(10, 4.99)) == 1).all()
 
     def test_absorbing_row_stops_jumping(self):
         gen = RegimeGenerator([[-2.0, 2.0], [0.0, 0.0]])
-        p = sample_path(gen, 0, 50.0, RngSpec(seed=4))
-        assert p.n_jumps == 1
-        assert p.jump_targets[0] == 1
+        skel = sample_skeletons(gen, 0, 0.0, 50.0, 10, RngSpec(seed=4))
+        assert skel.max_jumps == 1
+        assert (skel.states_after[0] == 1).all()
 
     def test_reproducible_per_rng_spec(self):
-        a = sample_path(BENCH, 0, 1.0, RngSpec(seed=11, stream=2))
-        b = sample_path(BENCH, 0, 1.0, RngSpec(seed=11, stream=2))
-        c = sample_path(BENCH, 0, 1.0, RngSpec(seed=11, stream=3))
+        a = sample_skeletons(BENCH, 0, 0.0, 1.0, 50, RngSpec(seed=11, stream=2))
+        b = sample_skeletons(BENCH, 0, 0.0, 1.0, 50, RngSpec(seed=11, stream=2))
+        c = sample_skeletons(BENCH, 0, 0.0, 1.0, 50, RngSpec(seed=11, stream=3))
         np.testing.assert_array_equal(a.jump_times, b.jump_times)
-        np.testing.assert_array_equal(a.jump_targets, b.jump_targets)
-        assert not np.array_equal(a.jump_times, c.jump_times)
+        np.testing.assert_array_equal(a.states_after, b.states_after)
+        assert not np.array_equal(a.jump_times[0], c.jump_times[0])
 
     def test_holding_time_law(self):
         # First holding time in state 0 is Exponential(6.04); use a horizon

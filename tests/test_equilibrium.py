@@ -4,18 +4,17 @@ import pytest
 from rsmerton.core_model import Preferences, utility
 from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import (
-    PolicyField,
-    log_system,
     merton_closed_form,
     merton_eta,
     picard_apply,
-    policy_at,
+    rhs_factory,
     solve,
     solve_g,
     solve_log,
     value_at,
 )
 from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
+from rsmerton.simulate import ProportionalStrategy
 from tests.conftest import make_spec
 
 
@@ -79,70 +78,58 @@ class TestSolveG:
 
 
 class TestSolveLog:
+    """The log branch's table holds h in its first S columns, then l."""
+
     def test_constant_rho_h_closed_form(self):
         spec = make_spec(gamma=0.0, rho=(0.3, 0.3))
         sol = solve_log(spec)
         ref = np.exp(-0.3) + (1 - np.exp(-0.3)) / 0.3
-        assert sol.h_table.values[0, 0] == pytest.approx(ref, abs=1e-9)
-        assert sol.h_table.values[0, 0] == pytest.approx(1.604757, abs=1e-6)
+        assert sol.table.values[0, 0] == pytest.approx(ref, abs=1e-9)
+        assert sol.table.values[0, 0] == pytest.approx(1.604757, abs=1e-6)
 
     def test_terminal_conditions_exact(self):
         sol = solve_log(make_spec(gamma=0.0))
-        assert (sol.h_table.values[-1] == 1.0).all()
-        assert (sol.l_table.values[-1] == 0.0).all()
+        assert (sol.table.values[-1, :2] == 1.0).all()
+        assert (sol.table.values[-1, 2:] == 0.0).all()
 
     def test_discount_ordering_of_h(self):
         # rho_0 > rho_1 pushes h(t, 0) strictly below h(t, 1) before T.
         sol = solve_log(make_spec(gamma=0.0))
-        h = sol.h_table.values
+        h = sol.table.values[:, :2]
         assert (h[:-1, 0] < h[:-1, 1]).all()
 
     def test_joint_system_residual(self):
         spec = make_spec(gamma=0.0)
         sol = solve_log(spec)
-        table = SolutionTable(
-            grid=sol.h_table.grid,
-            values=np.hstack([sol.h_table.values, sol.l_table.values]),
-        )
-        assert residual_norm(log_system(spec), table) <= 1e-5
+        rhs = rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
+        system = OdeSystem(4, rhs, np.array([1.0, 1.0, 0.0, 0.0]), spec.horizon)
+        assert residual_norm(system, sol.table) <= 1e-5
 
     def test_rejects_power_branch(self):
         with pytest.raises(ValueError, match="log branch"):
             solve_log(make_spec(gamma=0.5))
 
     def test_dispatch(self):
-        assert solve(make_spec(gamma=0.0)).branch == "log"
-        assert solve(make_spec(gamma=-1.0)).branch == "power"
+        assert solve(make_spec(gamma=0.0)).table.dimension == 4  # h then l
+        assert solve(make_spec(gamma=-1.0)).table.dimension == 2  # g
 
 
 class TestPolicy:
+    """The feedback policy as tabulated by ProportionalStrategy.from_policy."""
+
     def test_investment_example(self):
         spec = make_spec(gamma=0.5)
-        field = PolicyField(solve_g(spec))
-        invest, _ = policy_at(field, 0.3, 100.0, 0)
+        invest_frac, _ = ProportionalStrategy.from_policy(solve_g(spec)).values_at(0.3)
+        invest = invest_frac[0] * 100.0
         assert invest == pytest.approx(0.15 * 100 / (0.25**2 * 0.5))
         assert invest == pytest.approx(480.0)
 
-    def test_zero_wealth_maps_to_zero(self, bench_spec):
-        field = PolicyField(solve_g(bench_spec))
-        assert policy_at(field, 0.5, 0.0, 1) == (0.0, 0.0)
-
     def test_log_constant_rho_consumption(self):
         spec = make_spec(gamma=0.0, rho=(0.3, 0.3))
-        field = PolicyField(solve_log(spec))
-        _, consume = policy_at(field, 0.0, 1.0, 0)
+        _, consume_frac = ProportionalStrategy.from_policy(solve_log(spec)).values_at(0.0)
         ref = 1.0 / (np.exp(-0.3) + (1 - np.exp(-0.3)) / 0.3)
-        assert consume == pytest.approx(ref, abs=1e-9)
-        assert consume == pytest.approx(0.623147, abs=1e-6)
-
-    def test_domain_errors(self, bench_spec):
-        field = PolicyField(solve_g(bench_spec))
-        with pytest.raises(ValueError):
-            policy_at(field, 1.5, 1.0, 0)
-        with pytest.raises(ValueError):
-            policy_at(field, 0.5, -1.0, 0)
-        with pytest.raises(IndexError):
-            policy_at(field, 0.5, 1.0, 5)
+        assert consume_frac[0] == pytest.approx(ref, abs=1e-9)
+        assert consume_frac[0] == pytest.approx(0.623147, abs=1e-6)
 
     def test_policy_maximizes_local_objective(self, bench_spec):
         # The feedback pair is the argmax of the concave local objective
@@ -150,9 +137,11 @@ class TestPolicy:
         # not beat it.
         spec = bench_spec
         sol = solve_g(spec)
+        policy = ProportionalStrategy.from_policy(sol)
         gamma = spec.gamma
         prefs = Preferences.from_gamma(gamma)
         for t in (0.0, 0.4, 0.8):
+            invest_frac, consume_frac = policy.values_at(t)
             for x in (0.5, 1.0, 3.0):
                 for i in range(2):
                     g = float(sol.g_table.component(t, i))
@@ -163,7 +152,7 @@ class TestPolicy:
                     def objective(pi, c):
                         return (mu * pi - c) * v_x + 0.5 * s2 * pi**2 * v_xx + utility(c, prefs)
 
-                    f1, f2 = policy_at(PolicyField(sol), t, x, i)
+                    f1, f2 = invest_frac[i] * x, consume_frac[i] * x
                     best = objective(f1, f2)
                     for fp in (-1.0, 0.0, 0.5, 0.9, 1.1, 2.0):
                         for fc in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0):
@@ -192,7 +181,7 @@ class TestValueAt:
     def test_constant_rho_matches_frozen_oracle(self, const_rho_spec):
         # With a common discount rate the frozen-discount value of the policy
         # reproduces the ansatz exactly (one effective discounting).
-        from rsmerton.simulate import ProportionalStrategy, feynman_kac_value
+        from rsmerton.simulate import feynman_kac_value
 
         sol = solve_g(const_rho_spec)
         strategy = ProportionalStrategy.from_policy(sol)

@@ -7,7 +7,6 @@ from rsmerton.ode_engine import (
     OdeDomainError,
     OdeSystem,
     SolutionTable,
-    cumulative_trapezoid,
     interp_by_state,
     merge_breakpoints,
     residual_norm,
@@ -171,13 +170,6 @@ class TestTableHelpers:
         assert lines[0] == "# grid=1"
         assert lines[1] == "t,y0"
         assert lines[2] == "0,1"
-
-    def test_cumulative_trapezoid_exact_for_linear(self):
-        grid = np.linspace(0.0, 2.0, 9)
-        vals = np.stack([2.0 * grid, np.ones_like(grid)], axis=1)
-        cum = cumulative_trapezoid(grid, vals)
-        np.testing.assert_allclose(cum[:, 0], grid**2, atol=1e-14)
-        np.testing.assert_allclose(cum[:, 1], grid, atol=1e-14)
 
     def test_step_cumulative(self):
         nodes = np.array([0.0, 1.0, 3.0])

@@ -2,23 +2,37 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rsmerton.ctmc import JumpPath, RngSpec, sample_path
+from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, sample_skeletons
 from rsmerton.equilibrium import merton_closed_form, solve_g, solve_log
 from rsmerton.ode_engine import OdeSystem, rk4_solve
 from rsmerton.simulate import (
     ProportionalStrategy,
-    equilibrium_slope,
+    SlopeOracle,
     estimate_J,
     feynman_kac_value,
     perturbation_menu,
     sample_terminal_wealth,
-    simulate_wealth,
 )
 from tests.conftest import make_spec
 
+FROZEN_CHAIN = [[0.0, 0.0], [0.0, 0.0]]
 
-def no_jump_path(horizon=1.0, state=0):
-    return JumpPath(state, np.array([]), np.array([], dtype=np.int64), horizon)
+
+def euler_terminal_wealth(strategy, x0, spec, n_grid, n_paths, rng):
+    """Euler scheme in state 0 of a chain that never jumps, on n_grid uniform cells.
+
+    It draws the normals sample_terminal_wealth draws for the same ensemble,
+    one (cell, path) array from the diffusion substream, so the two schemes
+    share their driving noise.
+    """
+    z = rng.generator(DIFFUSION_SUBSTREAM).standard_normal((n_grid, n_paths))
+    edges = np.linspace(0.0, spec.horizon, n_grid + 1)
+    r, mu, sigma = spec.r[0], spec.mu[0], spec.sigma[0]
+    x = np.full(n_paths, float(x0))
+    for k, dt in enumerate(np.diff(edges)):
+        a, b = (v[0] for v in strategy.values_at(edges[k]))
+        x = x * (1.0 + (r + mu * a - b) * dt + sigma * a * np.sqrt(dt) * z[k])
+    return x
 
 
 class TestProportionalStrategy:
@@ -50,67 +64,62 @@ class TestProportionalStrategy:
 
 
 class TestSimulateWealth:
+    """The exact log-space scheme, through sample_terminal_wealth."""
+
     def test_deterministic_growth_exact(self):
         # No risky holdings, no consumption, no jumps: X(T) = x0 e^{rT} exactly.
-        spec = make_spec(mu=0.0, r=0.05, generator=[[0.0, 0.0], [0.0, 0.0]])
+        spec = make_spec(mu=0.0, r=0.05, generator=FROZEN_CHAIN)
         strat = ProportionalStrategy.from_constants(0.0, 0.0, 1.0, n_states=2)
-        wp = simulate_wealth(strat, 2.0, no_jump_path(), spec, 64, RngSpec(seed=1))
-        assert wp.wealth[-1] == pytest.approx(2.0 * np.exp(0.05), rel=1e-14)
-        assert wp.valid
+        xt = sample_terminal_wealth(strat, 2.0, 0, spec, 4, RngSpec(seed=1), n_grid=64)
+        np.testing.assert_allclose(xt, 2.0 * np.exp(0.05), rtol=1e-14)
 
-    def test_jump_times_are_grid_breakpoints(self, bench_spec):
-        path = JumpPath(0, np.array([0.123456]), np.array([1]), 1.0)
-        strat = ProportionalStrategy.from_constants(0.5, 0.3, 1.0, n_states=2)
-        wp = simulate_wealth(strat, 1.0, path, bench_spec, 16, RngSpec(seed=2))
-        assert 0.123456 in wp.grid
+    def test_jump_times_are_grid_breakpoints(self):
+        # Riskless growth at 0.05 until the one jump, then at 0.10 in the
+        # absorbing state: exact only if each path's jump time splits its cell.
+        spec = make_spec(mu=0.0, r=(0.05, 0.10), generator=[[-2.0, 2.0], [0.0, 0.0]])
+        strat = ProportionalStrategy.from_constants(0.0, 0.0, 1.0, n_states=2)
+        rng = RngSpec(seed=2)
+        tau = np.minimum(sample_skeletons(spec.generator, 0, 0.0, 1.0, 50, rng).jump_times[0], 1.0)
+        assert ((tau > 0.0) & (tau < 1.0)).sum() > 10
+        xt = sample_terminal_wealth(strat, 1.0, 0, spec, 50, rng, n_grid=16)
+        np.testing.assert_allclose(xt, np.exp(0.05 * tau + 0.10 * (1.0 - tau)), rtol=1e-12)
 
     def test_exact_scheme_keeps_wealth_positive(self, bench_spec):
         strat = ProportionalStrategy.from_constants(2.0, 5.0, 1.0, n_states=2)
-        for stream in range(10):
-            p = sample_path(bench_spec.generator, 0, 1.0, RngSpec(seed=3, stream=stream))
-            wp = simulate_wealth(strat, 1.0, p, bench_spec, 128, RngSpec(seed=3, stream=stream))
-            assert (wp.wealth > 0).all()
-            assert wp.valid
+        xt = sample_terminal_wealth(strat, 1.0, 0, bench_spec, 1000, RngSpec(seed=3), n_grid=128)
+        assert (xt > 0).all()
 
     def test_euler_flags_nonpositive_wealth(self):
-        spec = make_spec(mu=0.0, r=0.05, generator=[[0.0, 0.0], [0.0, 0.0]])
+        # Consuming 50x wealth a year makes every Euler factor 1 + (r - 50) dt
+        # negative at dt = 1 and at dt = 1/9, so an odd number of steps ends
+        # below zero; the exact scheme stays positive on the same noise.
+        spec = make_spec(mu=0.0, r=0.05, generator=FROZEN_CHAIN)
         strat = ProportionalStrategy.from_constants(0.0, 50.0, 1.0, n_states=2)
-        wp = simulate_wealth(
-            strat, 1.0, no_jump_path(), spec, 8, RngSpec(seed=4), scheme="euler"
-        )
-        assert not wp.valid
-        assert wp.first_invalid == 1
+        rng = RngSpec(seed=4)
+        assert (euler_terminal_wealth(strat, 1.0, spec, 1, 4, rng) <= 0).all()
+        assert (euler_terminal_wealth(strat, 1.0, spec, 9, 4, rng) <= 0).all()
+        assert (sample_terminal_wealth(strat, 1.0, 0, spec, 4, rng, n_grid=9) > 0).all()
 
     def test_reproducible(self, bench_spec):
         strat = ProportionalStrategy.from_constants(1.0, 0.5, 1.0, n_states=2)
-        p = sample_path(bench_spec.generator, 0, 1.0, RngSpec(seed=5))
-        a = simulate_wealth(strat, 1.0, p, bench_spec, 64, RngSpec(seed=5))
-        b = simulate_wealth(strat, 1.0, p, bench_spec, 64, RngSpec(seed=5))
-        np.testing.assert_array_equal(a.wealth, b.wealth)
+        a = sample_terminal_wealth(strat, 1.0, 0, bench_spec, 200, RngSpec(seed=5), n_grid=64)
+        b = sample_terminal_wealth(strat, 1.0, 0, bench_spec, 200, RngSpec(seed=5), n_grid=64)
+        np.testing.assert_array_equal(a, b)
 
     def test_euler_strong_order_one_half(self):
         # Deviation between Euler and the exact scheme on the same driving
-        # noise shrinks like the square root of the step count (the measured
-        # per-doubling ratio is about 0.71, not 0.5).
-        spec = make_spec(mu=0.15, r=0.05, generator=[[0.0, 0.0], [0.0, 0.0]])
+        # noise shrinks like the square root of the step count.
+        spec = make_spec(mu=0.15, r=0.05, generator=FROZEN_CHAIN)
         strat = ProportionalStrategy.from_constants(1.2, 0.7, 1.0, n_states=2)
         ns = np.array([64, 128, 256, 512])
         devs = []
         for n in ns:
-            acc = 0.0
-            for stream in range(200):
-                rng = RngSpec(seed=6, stream=stream)
-                we = simulate_wealth(strat, 1.0, no_jump_path(), spec, n, rng, "euler")
-                wx = simulate_wealth(strat, 1.0, no_jump_path(), spec, n, rng, "exact")
-                acc += np.abs(we.wealth - wx.wealth).max()
-            devs.append(acc / 200)
+            rng = RngSpec(seed=6)
+            euler = euler_terminal_wealth(strat, 1.0, spec, n, 200, rng)
+            exact = sample_terminal_wealth(strat, 1.0, 0, spec, 200, rng, n_grid=n)
+            devs.append(np.abs(euler - exact).mean())
         slope = np.polyfit(np.log(ns), np.log(devs), 1)[0]
         assert -0.65 <= slope <= -0.35
-
-    def test_unknown_scheme_rejected(self, bench_spec):
-        strat = ProportionalStrategy.from_constants(0.0, 0.0, 1.0, n_states=2)
-        with pytest.raises(ValueError, match="scheme"):
-            simulate_wealth(strat, 1.0, no_jump_path(), bench_spec, 8, RngSpec(seed=1), "milstein")
 
 
 class TestTerminalWealthEnsemble:
@@ -213,9 +222,9 @@ class TestFeynmanKac:
         g = spec.gamma
         k = g * (0.05 + 0.15 * a - b) + 0.5 * g * (g - 1) * 0.0625 * a**2
         kappa = 0.3 - k
-        ts = fk.f_table.grid
+        ts = fk.table.grid
         ref = b**g / kappa + (1 - b**g / kappa) * np.exp(kappa * (ts - 1.0))
-        assert np.abs(fk.f_table.values[:, 0] - ref).max() <= 1e-8
+        assert np.abs(fk.table.values[:, 0] - ref).max() <= 1e-8
 
     def test_equilibrium_diagonal_reproduces_g_under_common_discount(self, const_rho_spec):
         # With a single discount rate the policy's frozen-discount value has
@@ -223,7 +232,7 @@ class TestFeynmanKac:
         sol = solve_g(const_rho_spec)
         strat = ProportionalStrategy.from_policy(sol)
         fk = feynman_kac_value(strat, 0.9, const_rho_spec)
-        dev = np.abs(fk.f_table.values - sol.g_table.interpolate(fk.f_table.grid))
+        dev = np.abs(fk.table.values - sol.g_table.interpolate(fk.table.grid))
         assert dev.max() <= 1e-6
 
     def test_state_symmetric_inputs_give_state_symmetric_table(self):
@@ -232,7 +241,7 @@ class TestFeynmanKac:
         fk = feynman_kac_value(strat, 0.4, spec)
         # symmetric up to matmul roundoff (BLAS fused multiply-add)
         np.testing.assert_allclose(
-            fk.f_table.values[:, 0], fk.f_table.values[:, 1], rtol=0, atol=1e-12
+            fk.table.values[:, 0], fk.table.values[:, 1], rtol=0, atol=1e-12
         )
 
     def test_reproduces_single_regime_benchmark_value(self, const_rho_spec):
@@ -241,9 +250,9 @@ class TestFeynmanKac:
         sol = solve_g(const_rho_spec)
         strat = ProportionalStrategy.from_policy(sol)
         fk = feynman_kac_value(strat, 0.9, const_rho_spec)
-        ts = fk.f_table.grid
+        ts = fk.table.grid
         ref = merton_closed_form(const_rho_spec, ts) ** (const_rho_spec.gamma - 1.0)
-        assert np.abs(fk.f_table.values[:, 0] - ref).max() <= 1e-6
+        assert np.abs(fk.table.values[:, 0] - ref).max() <= 1e-6
 
     def test_log_wealth_coefficient_is_strategy_free_closed_form(self):
         # For log preferences the coefficient of log x under a frozen
@@ -252,9 +261,9 @@ class TestFeynmanKac:
         for a, b in ((0.0, 0.3), (1.5, 0.9)):
             strat = ProportionalStrategy.from_constants(a, b, 1.0, n_states=2)
             fk = feynman_kac_value(strat, 0.9, spec)
-            ts = fk.h_table.grid
+            ts = fk.table.grid
             ref = np.exp(-0.9 * (1.0 - ts)) + (1 - np.exp(-0.9 * (1.0 - ts))) / 0.9
-            assert np.abs(fk.h_table.values - ref[:, None]).max() <= 1e-9
+            assert np.abs(fk.table.values[:, :2] - ref[:, None]).max() <= 1e-9
 
     def test_frozen_discount_value_departs_from_ansatz_when_rho_varies(self):
         # With regime-dependent discounting, the frozen-discount value of the
@@ -264,7 +273,7 @@ class TestFeynmanKac:
         # note in the README.
         spec = make_spec(gamma=0.0)  # rho = (0.9, 0.3)
         sol = solve_log(spec)
-        h_coupled = sol.h_table.values[0, 0]
+        h_coupled = sol.table.values[0, 0]
         h_frozen = np.exp(-0.9) + (1 - np.exp(-0.9)) / 0.9
         assert h_coupled - h_frozen > 0.1
 
@@ -278,29 +287,31 @@ class TestEquilibriumSlope:
     def test_identity_perturbation_has_exactly_zero_slope(self, bench_spec):
         sol = solve_g(bench_spec)
         base = ProportionalStrategy.from_policy(sol)
-        res = equilibrium_slope(bench_spec, 0.5, 1.0, 0, base, solution=sol)
+        res = SlopeOracle(bench_spec, solution=sol).slope(0.5, 1.0, 0, base)
         assert (res.slopes == 0.0).all()
         assert res.extrapolated == 0.0
 
     def test_doubled_consumption_slope_nonnegative(self, bench_spec):
         sol = solve_g(bench_spec)
         menu = perturbation_menu(sol)
-        res = equilibrium_slope(bench_spec, 0.5, 1.0, 0, menu["consumption_x2"], solution=sol)
+        res = SlopeOracle(bench_spec, solution=sol).slope(0.5, 1.0, 0, menu["consumption_x2"])
         assert res.extrapolated >= -1e-6
         assert res.extrapolated == pytest.approx(0.536644, abs=1e-4)
 
     def test_zero_investment_slope_nonnegative(self, bench_spec):
         sol = solve_g(bench_spec)
         menu = perturbation_menu(sol)
+        oracle = SlopeOracle(bench_spec, solution=sol)
         for i in range(2):
-            res = equilibrium_slope(bench_spec, 0.3, 1.0, i, menu["investment_zero"], solution=sol)
+            res = oracle.slope(0.3, 1.0, i, menu["investment_zero"])
             assert res.extrapolated > 0.0
 
     def test_slope_scales_homothetically(self, bench_spec):
         sol = solve_g(bench_spec)
         menu = perturbation_menu(sol)
-        r1 = equilibrium_slope(bench_spec, 0.5, 1.0, 0, menu["consumption_x2"], solution=sol)
-        r2 = equilibrium_slope(bench_spec, 0.5, 2.0, 0, menu["consumption_x2"], solution=sol)
+        oracle = SlopeOracle(bench_spec, solution=sol)
+        r1 = oracle.slope(0.5, 1.0, 0, menu["consumption_x2"])
+        r2 = oracle.slope(0.5, 2.0, 0, menu["consumption_x2"])
         assert r2.extrapolated == pytest.approx(2.0**bench_spec.gamma * r1.extrapolated, rel=1e-9)
 
     def test_improving_consumption_direction_exists_for_high_gamma(self):
@@ -312,7 +323,7 @@ class TestEquilibriumSlope:
         spec = make_spec(gamma=0.7)
         sol = solve_g(spec)
         menu = perturbation_menu(sol)
-        res = equilibrium_slope(spec, 0.25, 1.0, 1, menu["consumption_half"], solution=sol)
+        res = SlopeOracle(spec, solution=sol).slope(0.25, 1.0, 1, menu["consumption_half"])
         assert res.extrapolated < -0.02
         assert res.extrapolated == pytest.approx(-0.04934, abs=5e-4)
 
@@ -320,9 +331,7 @@ class TestEquilibriumSlope:
         sol = solve_g(bench_spec)
         base = ProportionalStrategy.from_policy(sol)
         with pytest.raises(ValueError, match="window widths"):
-            equilibrium_slope(
-                bench_spec, 0.9, 1.0, 0, base, epsilons=[0.5], solution=sol
-            )
+            SlopeOracle(bench_spec, solution=sol).slope(0.9, 1.0, 0, base, epsilons=[0.5])
 
     def test_menu_contains_six_perturbations(self, bench_spec):
         menu = perturbation_menu(solve_g(bench_spec))
