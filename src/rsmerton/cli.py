@@ -33,7 +33,7 @@ from rsmerton.core_model import (
 )
 from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import picard_apply, rhs_factory, solve, value_at
-from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
+from rsmerton.ode_engine import OdeSystem, residual_norm
 from rsmerton.simulate import (
     ProportionalStrategy,
     SlopeOracle,
@@ -104,6 +104,13 @@ def _integer(value, path: str, minimum: int) -> int:
     return value
 
 
+def _typed(value, path: str, kind: type, what: str):
+    """value itself if it is a `kind`; a wrong JSON shape is refused, not coerced."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: must be {what}, got {value!r}")
+    return value
+
+
 def _parse(doc: str | dict) -> dict:
     """A config document as a fresh dict; ConfigError unless it is a JSON object."""
     try:
@@ -126,12 +133,14 @@ def load_config(doc: str | dict) -> ExperimentConfig:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
     if "market" not in data:
         raise ConfigError("config.market: missing")
-    market = dict(data["market"])
+    market = dict(_typed(data["market"], "config.market", dict, "a JSON object"))
     gammas = data.get("gammas")
     if gammas is None:
         if "gamma" not in market:
             raise ConfigError("config.gammas: missing and config.market.gamma not set")
         gammas = [market["gamma"]]
+    if not isinstance(gammas, list) or not gammas:
+        raise ConfigError(f"config.gammas: must be a non-empty list, got {gammas!r}")
     for k, g in enumerate(gammas):
         if isinstance(g, bool) or not isinstance(g, (int, float)) or not g < 1:
             raise ConfigError(f"config.gammas[{k}]: must be a number below 1, got {g!r}")
@@ -141,8 +150,8 @@ def load_config(doc: str | dict) -> ExperimentConfig:
         raise ConfigError(
             "; ".join(f"config.market: {v}" for v in e.violations)
         ) from e
-    outputs = data.get("outputs", ["curves"])
-    bad = set(outputs) - _OUTPUT_KINDS
+    outputs = _typed(data.get("outputs", ["curves"]), "config.outputs", list, "a list")
+    bad = {str(kind) for kind in outputs} - _OUTPUT_KINDS
     if bad:
         raise ConfigError(f"config.outputs: unknown kinds {sorted(bad)}")
     return ExperimentConfig(
@@ -152,7 +161,7 @@ def load_config(doc: str | dict) -> ExperimentConfig:
         grid=_integer(data.get("grid", 2048), "config.grid", 16),
         paths=_integer(data.get("paths", 100_000), "config.paths", 1000),
         seed=_integer(data.get("seed", 20260811), "config.seed", 0),
-        out_dir=str(data.get("out_dir", "out")),
+        out_dir=_typed(data.get("out_dir", "out"), "config.out_dir", str, "a string"),
     )
 
 
@@ -226,10 +235,10 @@ def run(config: ExperimentConfig) -> int:
             path.write_text(curve.to_csv(meta=_curve_meta(spec, config.seed, config.grid)))
             entry["curve_csv"] = str(path)
         if "tables" in config.outputs:
-            # the coefficient that consumption inverts: g, or h
-            table = SolutionTable(solution.table.grid, solution.table.values[:, : spec.states])
+            # the whole coefficient table: g, or h then l
             path = out / f"coefficients_g{tag}.csv"
-            path.write_text(table.to_csv(header_meta=_curve_meta(spec, config.seed, config.grid)))
+            meta = _curve_meta(spec, config.seed, config.grid)
+            path.write_text(solution.table.to_csv(header_meta=meta))
             entry["table_csv"] = str(path)
         if "validation" in config.outputs:
             entry["validation"] = _validate_solution(spec, solution, curve)

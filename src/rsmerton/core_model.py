@@ -122,11 +122,53 @@ class Preferences:
 
 
 @dataclass(frozen=True)
+class PiecewiseCoefficients:
+    """Piecewise-constant-in-time override of r, alpha, sigma.
+
+    Interval k is [breakpoints[k-1], breakpoints[k]) with breakpoints strictly
+    increasing inside (0, horizon); value arrays have shape (m+1, S) for m
+    breakpoints. MarketSpec.violations checks it against the spec.
+    """
+
+    breakpoints: np.ndarray
+    r: np.ndarray
+    alpha: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        for name in ("breakpoints", "r", "alpha", "sigma"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def violations(self, states: int, horizon: float) -> list[str]:
+        bp = self.breakpoints
+        if bp.ndim != 1:
+            return [f"override.breakpoints must be one-dimensional, got shape {bp.shape}"]
+        errs = _non_finite("override.breakpoints", bp)
+        if not errs and not (np.diff(bp) > 0).all():
+            errs.append(f"override.breakpoints must be strictly increasing, got {bp.tolist()}")
+        if not errs and bp.size and not (0 < bp[0] and bp[-1] < horizon):
+            errs.append(f"override.breakpoints must lie inside (0, {horizon}), got {bp.tolist()}")
+        shape = (bp.size + 1, states)
+        for name in ("r", "alpha", "sigma"):
+            v = getattr(self, name)
+            if v.shape != shape:
+                errs.append(
+                    f"override.{name} must have shape {shape} (one row per interval, "
+                    f"one entry per state), got {v.shape}"
+                )
+            errs += _non_finite(f"override.{name}", v)
+        if self.sigma.shape == shape and not (self.sigma > 0).all():
+            errs.append(f"override.sigma must be positive, got {self.sigma.tolist()}")
+        return errs
+
+
+@dataclass(frozen=True)
 class MarketSpec:
     """Per-regime market coefficients, generator, discounting and preferences.
 
-    Coefficients are constant per regime. Units: rates are 1/year, sigma is
-    1/sqrt(year), horizon is years.
+    Coefficients are constant per regime unless an override makes r, alpha
+    and sigma piecewise constant in time as well. Units: rates are 1/year,
+    sigma is 1/sqrt(year), horizon is years.
     """
 
     states: int
@@ -137,6 +179,7 @@ class MarketSpec:
     rho: np.ndarray
     gamma: float
     horizon: float
+    override: PiecewiseCoefficients | None = None
     prefs: Preferences = field(init=False)
 
     def __post_init__(self):
@@ -148,6 +191,24 @@ class MarketSpec:
     def mu(self) -> np.ndarray:
         """Per-state excess return alpha - r."""
         return self.alpha - self.r
+
+    def coefficients_on(self, grid):
+        """(nodes, r, mu, sigma): grid joined with the override's breakpoints inside it.
+
+        Row k of each (len(nodes) - 1, S) array holds the per-state
+        coefficients in force on [nodes[k], nodes[k+1]), right-continuous at a
+        breakpoint. Without an override the nodes are the grid and every row
+        is the spec's own r, mu, sigma.
+        """
+        grid = np.asarray(grid, dtype=float)
+        ov = self.override
+        if ov is None:
+            rows = (grid.size - 1, self.states)
+            return (grid, *(np.broadcast_to(v, rows) for v in (self.r, self.mu, self.sigma)))
+        bp = ov.breakpoints
+        nodes = np.unique(np.concatenate([grid, bp[(bp > grid[0]) & (bp < grid[-1])]]))
+        k = np.searchsorted(bp, nodes[:-1], side="right")
+        return nodes, ov.r[k], ov.alpha[k] - ov.r[k], ov.sigma[k]
 
     def violations(self) -> list[str]:
         errs = list(self.generator.violations())
@@ -171,6 +232,8 @@ class MarketSpec:
             errs.append(f"horizon must be positive, got {self.horizon}")
         if not self.gamma < 1:
             errs.append(f"gamma must be below 1, got {self.gamma}")
+        if self.override is not None:
+            errs += self.override.violations(n, self.horizon)
         return errs
 
 
@@ -246,49 +309,3 @@ def inverse_marginal_utility(y, prefs: Preferences):
         raise ValueError("marginal utility values must be positive")
     out = 1.0 / y if prefs.is_log else np.power(y, 1.0 / (prefs.gamma - 1.0))
     return out if y.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PiecewiseCoefficients:
-    """Optional piecewise-constant-in-time override of r, alpha, sigma.
-
-    Interval k is [breakpoints[k-1], breakpoints[k]) with breakpoints strictly
-    increasing inside (0, horizon); value arrays have shape (m+1, S) for m
-    breakpoints. Solvers evaluate these exactly; for best accuracy align
-    breakpoints with the solver grid (they are plain discontinuities of the
-    right-hand side otherwise).
-    """
-
-    breakpoints: np.ndarray
-    r: np.ndarray
-    alpha: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.size and not (np.diff(bp) > 0).all():
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", _readonly(bp))
-        for name in ("r", "alpha", "sigma"):
-            v = _readonly(getattr(self, name))
-            if v.shape[0] != bp.size + 1:
-                raise ValueError(f"{name} needs one row per interval ({bp.size + 1})")
-            object.__setattr__(self, name, v)
-        if not (self.sigma > 0).all():
-            raise ValueError("sigma override must be positive")
-
-    def interval(self, t: float) -> int:
-        return int(np.searchsorted(self.breakpoints, t, side="right"))
-
-    def at(self, t: float):
-        """(r, alpha, sigma) state vectors in force at time t (right-continuous)."""
-        k = self.interval(t)
-        return self.r[k], self.alpha[k], self.sigma[k]
-
-
-def coefficients_at(spec: MarketSpec, t: float, coeffs: PiecewiseCoefficients | None):
-    """Per-state (r, mu, sigma) at time t, honoring an optional override."""
-    if coeffs is None:
-        return spec.r, spec.mu, spec.sigma
-    r, alpha, sigma = coeffs.at(t)
-    return r, alpha - r, sigma

@@ -29,18 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rsmerton.core_model import (
-    MarketSpec,
-    PiecewiseCoefficients,
-    coefficients_at,
-    validate_spec,
-)
+from rsmerton.core_model import MarketSpec, validate_spec
 from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.ode_engine import (
     OdeSystem,
     SolutionTable,
     interp_by_state,
-    merge_breakpoints,
     rk4_solve,
     running_sum,
     solve_terminal_ode,
@@ -52,39 +46,18 @@ PICARD_EVAL_POINTS = 17
 PICARD_QUAD_CELLS = 128
 
 
-def growth_exponent(spec: MarketSpec, t: float, coeffs: PiecewiseCoefficients | None = None):
+def growth_rate(gamma: float, r, mu, sigma):
     """Per-state coefficient gamma*r + mu^2*gamma/(2 sigma^2 (1-gamma)) of the g-system."""
-    g = spec.gamma
-    r, mu, sigma = coefficients_at(spec, t, coeffs)
-    return g * r + mu**2 * g / (2 * sigma**2 * (1 - g))
-
-
-def market_legs(
-    spec: MarketSpec,
-    coeffs: PiecewiseCoefficients | None,
-    t_start: float,
-    horizon: float,
-):
-    """Constant-coefficient legs (t_lo, t_hi, r, mu, sigma) covering [t_start, horizon]."""
-    if coeffs is None:
-        return [(t_start, horizon, spec.r, spec.mu, spec.sigma)]
-    cuts = [t_start]
-    cuts += [float(b) for b in coeffs.breakpoints if t_start < b < horizon]
-    cuts.append(horizon)
-    legs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        r, alpha, sigma = coeffs.at(lo)
-        legs.append((lo, hi, r, alpha - r, sigma))
-    return legs
+    return gamma * r + mu**2 * gamma / (2 * sigma**2 * (1 - gamma))
 
 
 def solve_market_ode(
     make_rhs,
     spec: MarketSpec,
-    coeffs: PiecewiseCoefficients | None,
     terminal: np.ndarray,
     n_steps: int,
     tol: float | None,
+    *,
     t_start: float = 0.0,
     horizon: float | None = None,
     positivity_floor=None,
@@ -96,15 +69,16 @@ def solve_market_ode(
     on leg boundaries. tol=None does one fixed-step sweep per leg.
     """
     horizon = spec.horizon if horizon is None else horizon
-    legs = market_legs(spec, coeffs, t_start, horizon)
+    cuts, r, mu, sigma = spec.coefficients_on([t_start, horizon])
     total = horizon - t_start
     term = np.asarray(terminal, dtype=float)
     tables = []
-    for lo, hi, r, mu, sigma in reversed(legs):
+    for k in reversed(range(cuts.size - 1)):
+        lo, hi = float(cuts[k]), float(cuts[k + 1])
         steps = max(16, int(round(n_steps * (hi - lo) / total)))
         system = OdeSystem(
             dimension=term.size,
-            rhs=make_rhs(r, mu, sigma),
+            rhs=make_rhs(r[k], mu[k], sigma[k]),
             terminal_values=term,
             horizon=hi,
             t_start=lo,
@@ -131,7 +105,6 @@ class EquilibriumSolution:
 
     spec: MarketSpec
     table: SolutionTable
-    coeffs: PiecewiseCoefficients | None = None
 
     @property
     def g_table(self) -> SolutionTable:
@@ -162,39 +135,29 @@ class ConsumptionCurve:
         return "\n".join(lines) + "\n"
 
 
-def solve_g(
-    spec: MarketSpec,
-    n_steps: int = 2048,
-    tol: float = 1e-9,
-    coeffs: PiecewiseCoefficients | None = None,
-) -> EquilibriumSolution:
+def solve_g(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> EquilibriumSolution:
     """Solve the coupled nonlinear g-system backward from g(T, i) = 1 (power branch)."""
     if validate_spec(spec).prefs.is_log:
         raise ValueError("solve_g is the power branch; use solve_log for gamma = 0")
-    return _solve_branch(spec, n_steps, tol, coeffs)
+    return _solve_branch(spec, n_steps, tol)
 
 
-def solve_log(
-    spec: MarketSpec,
-    n_steps: int = 2048,
-    tol: float = 1e-9,
-    coeffs: PiecewiseCoefficients | None = None,
-) -> EquilibriumSolution:
+def solve_log(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> EquilibriumSolution:
     """Solve the linear h- and l-systems backward from h(T)=1, l(T)=0 (log branch)."""
     if not validate_spec(spec).prefs.is_log:
         raise ValueError("solve_log is the log branch; use solve_g for gamma != 0")
-    return _solve_branch(spec, n_steps, tol, coeffs)
+    return _solve_branch(spec, n_steps, tol)
 
 
-def _solve_branch(spec, n_steps, tol, coeffs) -> EquilibriumSolution:
+def _solve_branch(spec, n_steps, tol) -> EquilibriumSolution:
     """The one solve behind solve_g and solve_log; the first S columns stay positive."""
     terminal = spec.prefs.terminal(spec.states)
     floor = np.full(terminal.size, -np.inf)
     floor[: spec.states] = G_POSITIVITY_FLOOR
     table = solve_market_ode(
-        rhs_factory(spec), spec, coeffs, terminal, n_steps, tol, positivity_floor=floor
+        rhs_factory(spec), spec, terminal, n_steps, tol, positivity_floor=floor
     )
-    return EquilibriumSolution(spec=spec, table=table, coeffs=coeffs)
+    return EquilibriumSolution(spec=spec, table=table)
 
 
 def rhs_factory(spec: MarketSpec):
@@ -210,7 +173,7 @@ def _power_rhs_factory(spec: MarketSpec):
     power = g / (g - 1.0)
 
     def make_rhs(r, mu, sigma):
-        q = g * r + mu**2 * g / (2 * sigma**2 * (1 - g))
+        q = growth_rate(g, r, mu, sigma)
 
         def rhs(t, y):
             return -((q - rho) * y + rates @ y + (1 - g) * np.power(y, power))
@@ -286,6 +249,8 @@ def merton_closed_form(spec: MarketSpec, t):
 
 
 def _require_single_regime(spec: MarketSpec):
+    if spec.override is not None:
+        raise ValueError("closed form needs constant coefficients; the spec has an override")
     for name in ("r", "alpha", "sigma", "rho"):
         v = getattr(spec, name)
         if not np.allclose(v, v[0], rtol=0, atol=0):
@@ -317,7 +282,6 @@ def picard_apply(
     rng: RngSpec,
     eval_times: np.ndarray | None = None,
     quad_cells: int = PICARD_QUAD_CELLS,
-    coeffs: PiecewiseCoefficients | None = None,
 ) -> PicardEstimate:
     """Apply the integral fixed-point operator to a candidate g by Monte Carlo.
 
@@ -352,7 +316,7 @@ def picard_apply(
             edges = np.linspace(t0, T, n_cells + 1)
             samples = _picard_path_values(
                 spec, gamma, gp_grid, gp_tab, i, t0, edges, n_paths, rng,
-                substream=(CHAIN_SUBSTREAM, pt * S + i), coeffs=coeffs,
+                substream=(CHAIN_SUBSTREAM, pt * S + i),
             )
             values[pt, i] = samples.mean()
             stderr[pt, i] = samples.std(ddof=1) / np.sqrt(n_paths)
@@ -368,21 +332,15 @@ def picard_apply(
 
 
 def _picard_path_values(
-    spec, gamma, gp_grid, gp_tab, initial, t0, edges, n_paths, rng, substream, coeffs
+    spec, gamma, gp_grid, gp_tab, initial, t0, edges, n_paths, rng, substream
 ):
     """Per-path K(T) + (1-gamma) * int K g^(gamma/(gamma-1)) dv from (t0, initial)."""
-    T = spec.horizon
-    rho = spec.rho
     skel = sample_skeletons(
-        spec.generator, initial, t0, T, n_paths, rng, substream=substream
+        spec.generator, initial, t0, spec.horizon, n_paths, rng, substream=substream
     )
     # Exact per-state cumulative of the exponent rate (a step function in t).
-    bp = None if coeffs is None else coeffs.breakpoints
-    nodes = merge_breakpoints(edges, bp)
-    ivals = np.stack(
-        [growth_exponent(spec, tn, coeffs) - rho for tn in nodes[:-1]], axis=0
-    )
-    cq = step_cumulative(nodes, ivals)
+    nodes, r, mu, sigma = spec.coefficients_on(edges)
+    cq = step_cumulative(nodes, growth_rate(gamma, r, mu, sigma) - spec.rho)
     S = spec.states
     gp_edges = interp_by_state(gp_grid, gp_tab, edges[:, None], np.arange(S)).ravel()
     dt = np.diff(edges)

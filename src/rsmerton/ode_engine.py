@@ -85,9 +85,6 @@ class SolutionTable:
         t = np.asarray(t, dtype=float)
         return interp_by_state(self.grid, self.values, t[..., None], np.arange(self.dimension))
 
-    def component(self, t, j: int):
-        return np.interp(t, self.grid, self.values[:, j])
-
     def to_csv(self, header_meta: dict | None = None) -> str:
         buf = io.StringIO()
         if header_meta:
@@ -242,10 +239,3 @@ def step_cumulative(nodes: np.ndarray, interval_values: np.ndarray) -> np.ndarra
     np.cumsum(interval_values * widths, axis=0, out=out[1:])
     return out
 
-
-def merge_breakpoints(edges: np.ndarray, breakpoints: np.ndarray | None) -> np.ndarray:
-    """Union of a grid with interior breakpoints, sorted and deduplicated."""
-    if breakpoints is None or len(breakpoints) == 0:
-        return edges
-    inside = breakpoints[(breakpoints > edges[0]) & (breakpoints < edges[-1])]
-    return np.unique(np.concatenate([edges, inside]))

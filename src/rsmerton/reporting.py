@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,3 @@ class MCReport:
             target=target,
             z_score=z,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))

@@ -20,21 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rsmerton.core_model import (
-    MarketSpec,
-    PiecewiseCoefficients,
-    Preferences,
-    coefficients_at,
-    utility,
-    validate_spec,
-)
+from rsmerton.core_model import MarketSpec, Preferences, utility, validate_spec
 from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.equilibrium import EquilibriumSolution, solve, solve_market_ode
-from rsmerton.ode_engine import (
-    SolutionTable,
-    interp_by_state,
-    merge_breakpoints,
-)
+from rsmerton.ode_engine import SolutionTable, interp_by_state
 from rsmerton.reporting import MCReport
 
 DEFAULT_PATH_GRID = 2048
@@ -92,14 +81,17 @@ class ProportionalStrategy:
 
     @classmethod
     def from_policy(cls, solution: EquilibriumSolution) -> "ProportionalStrategy":
-        """Tabulate the solved feedback policy on its own solve grid."""
+        """Tabulate the solved feedback policy on its own solve grid.
+
+        The solve grid holds every override breakpoint, so its intervals are
+        the coefficient intervals; the horizon node keeps the last one's.
+        """
         spec = solution.spec
         grid = solution.table.grid
-        a = np.empty((grid.size, spec.states))
-        for k, t in enumerate(grid):
-            _, mu, sigma = coefficients_at(spec, float(t), solution.coeffs)
-            a[k] = spec.prefs.investment(mu, sigma)
-        return cls(grid, a, spec.prefs.consumption(solution.table.values, spec.states))
+        _, _, mu, sigma = spec.coefficients_on(grid)
+        a = spec.prefs.investment(mu, sigma)
+        b = spec.prefs.consumption(solution.table.values, spec.states)
+        return cls(grid, np.vstack([a, a[-1:]]), b)
 
     def values_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-state (a, b) vectors at time t."""
@@ -137,7 +129,7 @@ def _utility_domain_check(strategy: ProportionalStrategy, spec: MarketSpec):
         )
 
 
-def _cumulative_tables(strategy: ProportionalStrategy, spec: MarketSpec, coeffs):
+def _cumulative_tables(strategy: ProportionalStrategy, spec: MarketSpec):
     """Exact per-state running integrals of the log-wealth drift and variance.
 
     Market coefficients are constant on each cell of the merged grid (override
@@ -146,18 +138,11 @@ def _cumulative_tables(strategy: ProportionalStrategy, spec: MarketSpec, coeffs)
     closed forms: linear terms by trapezoid, the a^2 term by the exact
     quadratic rule.
     """
-    bp = None if coeffs is None else coeffs.breakpoints
-    tg = merge_breakpoints(strategy.grid, bp)
+    tg, r_c, mu_c, sigma_c = spec.coefficients_on(strategy.grid)
+    s2_c = sigma_c**2
     S = strategy.n_states
     a_tab = interp_by_state(strategy.grid, strategy.invest_frac, tg[:, None], np.arange(S))
     b_tab = interp_by_state(strategy.grid, strategy.consume_frac, tg[:, None], np.arange(S))
-    mids = 0.5 * (tg[:-1] + tg[1:])
-    r_c = np.empty((mids.size, S))
-    mu_c = np.empty_like(r_c)
-    s2_c = np.empty_like(r_c)
-    for k, t in enumerate(mids):
-        r, mu, sigma = coefficients_at(spec, float(t), coeffs)
-        r_c[k], mu_c[k], s2_c[k] = r, mu, sigma**2
     dt = np.diff(tg)[:, None]
     a_lo, a_hi = a_tab[:-1], a_tab[1:]
     b_lo, b_hi = b_tab[:-1], b_tab[1:]
@@ -180,7 +165,6 @@ def estimate_J(
     n_paths: int,
     rng: RngSpec,
     n_grid: int = DEFAULT_PATH_GRID,
-    coeffs: PiecewiseCoefficients | None = None,
     target: float | None = None,
 ) -> MCReport:
     """Monte-Carlo estimate of the expected-utility functional.
@@ -211,7 +195,7 @@ def estimate_J(
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(t, T, n_grid + 1)
     dt = np.diff(edges)
-    tg, cd, cv, b_tab = _cumulative_tables(strategy, spec, coeffs)
+    tg, cd, cv, b_tab = _cumulative_tables(strategy, spec)
     S = spec.states
     # log(b x) at the edges, flat by edge * S + state
     log_bx = np.log(interp_by_state(tg, b_tab, edges[:, None], np.arange(S)).ravel() * x)
@@ -263,7 +247,6 @@ def sample_terminal_wealth(
     n_paths: int,
     rng: RngSpec,
     n_grid: int = DEFAULT_PATH_GRID,
-    coeffs: PiecewiseCoefficients | None = None,
 ) -> np.ndarray:
     """Terminal wealth X(T) for an ensemble started at (0, x0, i), exact scheme."""
     validate_spec(spec)
@@ -273,7 +256,7 @@ def sample_terminal_wealth(
     skel = sample_skeletons(spec.generator, i, 0.0, T, n_paths, rng)
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(0.0, T, n_grid + 1)
-    tg, cd, cv, _b_tab = _cumulative_tables(strategy, spec, coeffs)
+    tg, cd, cv, _b_tab = _cumulative_tables(strategy, spec)
     log_x = np.full(n_paths, np.log(x0))
     for blk in cell_blocks(skel, edges, ((tg, cd), (tg, cv))):
         log_x = _log_wealth_rows(log_x, blk, zgen)[-1]
@@ -338,7 +321,6 @@ def feynman_kac_value(
     frozen_rho: float,
     spec: MarketSpec,
     n_steps: int = 2048,
-    coeffs: PiecewiseCoefficients | None = None,
 ) -> FrozenValueTable:
     """Solve the frozen-discount value system of a proportional strategy.
 
@@ -349,7 +331,7 @@ def feynman_kac_value(
     validate_spec(spec)
     _utility_domain_check(strategy, spec)
     table = solve_market_ode(
-        _fk_rhs_factory(strategy, frozen_rho, spec), spec, coeffs,
+        _fk_rhs_factory(strategy, frozen_rho, spec), spec,
         spec.prefs.terminal(spec.states), n_steps, tol=None,
     )
     return FrozenValueTable(frozen_rho=frozen_rho, prefs=spec.prefs, table=table)
@@ -379,14 +361,12 @@ class SlopeOracle:
         self,
         spec: MarketSpec,
         solution: EquilibriumSolution | None = None,
-        coeffs: PiecewiseCoefficients | None = None,
         n_steps_tail: int = 2048,
         n_steps_window: int = 256,
     ):
         validate_spec(spec)
         self.spec = spec
-        self.coeffs = coeffs
-        self.solution = solution if solution is not None else solve(spec, coeffs=coeffs)
+        self.solution = solution if solution is not None else solve(spec)
         self.base = ProportionalStrategy.from_policy(self.solution)
         self.n_steps_tail = n_steps_tail
         self.n_steps_window = n_steps_window
@@ -402,7 +382,7 @@ class SlopeOracle:
             else:
                 table = solve_market_ode(
                     _fk_rhs_factory(self.base, float(self.spec.rho[i]), self.spec),
-                    self.spec, self.coeffs, self._terminal, self.n_steps_tail,
+                    self.spec, self._terminal, self.n_steps_tail,
                     tol=None, t_start=t_hi,
                 )
                 self._tails[key] = table.values[0]
@@ -412,7 +392,7 @@ class SlopeOracle:
         boundary = self._boundary(i, t + eps)
         table = solve_market_ode(
             _fk_rhs_factory(strategy, float(self.spec.rho[i]), self.spec),
-            self.spec, self.coeffs, boundary, self.n_steps_window,
+            self.spec, boundary, self.n_steps_window,
             tol=None, t_start=t, horizon=t + eps,
         )
         return table.values[0]

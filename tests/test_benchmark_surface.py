@@ -2,7 +2,9 @@
 
 perfbench/spans.py wraps the functions and methods it lists by name and skips
 a name the package no longer defines, so the metrics built on that name read 0
-without a word. perfbench/workloads.py reads two attributes of the results.
+without a word; it also tells a slope window from a tail solve by the
+`horizon` argument of `solve_market_ode`. perfbench/workloads.py reads two
+attributes of the results.
 """
 
 import importlib.util
@@ -13,7 +15,12 @@ import pytest
 from rsmerton.cli import benchmark_spec
 from rsmerton.equilibrium import solve_g
 from rsmerton.ode_engine import SolutionTable
-from rsmerton.simulate import ProportionalStrategy, feynman_kac_value
+from rsmerton.simulate import (
+    ProportionalStrategy,
+    SlopeOracle,
+    feynman_kac_value,
+    perturbation_menu,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +52,21 @@ def test_workload_reads_exist():
     assert isinstance(sol.g_table, SolutionTable)
     fk = feynman_kac_value(ProportionalStrategy.from_policy(sol), float(spec.rho[0]), spec)
     assert isinstance(fk.value(0.0, 1.0, 0), float)
+
+
+def test_tracer_tells_windows_from_tails():
+    # One slope: three window widths, each priced under the base policy and
+    # the perturbation (6 window solves) over 3 distinct tails.
+    spec = benchmark_spec(-1.0)
+    sol = solve_g(spec, n_steps=64, tol=1e-4)
+    consumption_x2 = perturbation_menu(sol)["consumption_x2"]
+    tracer = spans.Tracer(op=0)
+    tracer.install()
+    try:
+        oracle = SlopeOracle(spec, sol, n_steps_tail=64, n_steps_window=16)
+        oracle.slope(0.3, 1.0, 1, consumption_x2)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["simulate.window_solves"] == 6
+    assert metrics["simulate.tail_cache_hit_frac"] == 0.5

@@ -15,6 +15,7 @@ from rsmerton.cli import (
     spec_hash,
 )
 from rsmerton.ctmc import RngSpec, dynkin_check, stationary_distribution
+from rsmerton.equilibrium import solve, value_at
 
 
 def minimal_config(out_dir, **extra):
@@ -32,6 +33,12 @@ def minimal_config(out_dir, **extra):
 BAD_INTEGERS = [
     ("grid", "fine"), ("grid", 300.7), ("grid", 4), ("paths", 2000.9), ("paths", 1),
     ("seed", True), ("seed", -5),
+]
+# JSON shapes that used to escape as a TypeError or IndexError, split a
+# string into letters, or coerce a number to a directory name.
+BAD_SHAPES = [
+    ("market", 5), ("market", [1, 2]), ("gammas", 0.5), ("gammas", []),
+    ("outputs", "curves"), ("out_dir", 5),
 ]
 
 
@@ -123,6 +130,17 @@ class TestRun:
         assert any(abs(r["z_vs_ansatz"]) > 3 for r in rows)
         assert all(abs(r["z_vs_frozen_oracle"]) < 5 for r in rows)
 
+    def test_log_tables_carry_h_then_l(self, tmp_path):
+        cfg = load_config(minimal_config(tmp_path, gammas=[0.0], outputs=["tables"], grid=64))
+        assert run(cfg) == 0
+        lines = (tmp_path / "coefficients_g0.csv").read_text().splitlines()
+        assert lines[1] == "t,y0,y1,y2,y3"  # h then l, one column each per state
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        np.testing.assert_array_equal(rows[-1, 1:], [1.0, 1.0, 0.0, 0.0])
+        sol = solve(benchmark_spec(0.0), n_steps=64)
+        at_one = [[value_at(sol, t, 1.0, i) for i in range(2)] for t in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 3:], at_one, rtol=1e-11, atol=1e-14)
+
     def test_per_gamma_error_does_not_abort_other_runs(self, tmp_path):
         doc = minimal_config(tmp_path, gammas=[-1.0, 0.999999])
         cfg = load_config(doc)
@@ -159,10 +177,10 @@ class TestMain:
         assert "config.market.rho[0]: must be finite" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value", BAD_INTEGERS + [("gammas", [False])])
+    @pytest.mark.parametrize("field, value", BAD_INTEGERS + [("gammas", [False])] + BAD_SHAPES)
     def test_bad_config_value_returns_2(self, tmp_path, capsys, field, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_config(tmp_path, **{field: value})))
+        cfg_path.write_text(json.dumps({**minimal_config(tmp_path), field: value}))
         assert main(["solve", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"error: config.{field}" in err

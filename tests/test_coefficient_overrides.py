@@ -1,11 +1,13 @@
 """Piecewise-constant-in-time market coefficients through every solver route."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rsmerton.core_model import PiecewiseCoefficients
+from rsmerton.core_model import PiecewiseCoefficients, SpecValidationError, validate_spec
 from rsmerton.ctmc import RngSpec
-from rsmerton.equilibrium import picard_apply, solve_g, growth_exponent
+from rsmerton.equilibrium import growth_rate, merton_eta, picard_apply, solve_g
 from rsmerton.ode_engine import OdeSystem, rk4_solve
 from rsmerton.simulate import ProportionalStrategy, feynman_kac_value, sample_terminal_wealth
 from tests.conftest import make_spec
@@ -31,35 +33,106 @@ def two_phase_override():
     )
 
 
+def overridden(spec, override):
+    return replace(spec, override=override)
+
+
+def override_violations(breakpoints=(0.5,), **rows):
+    """validate_spec's complaint about the bench spec under a two-interval override."""
+    values = {"r": np.full((2, 2), 0.05), "alpha": np.full((2, 2), 0.2),
+              "sigma": np.full((2, 2), 0.25), **rows}
+    ov = PiecewiseCoefficients(breakpoints=np.array(breakpoints), **values)
+    with pytest.raises(SpecValidationError) as err:
+        validate_spec(overridden(make_spec(), ov))
+    return str(err.value)
+
+
 class TestValidation:
-    def test_breakpoints_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            PiecewiseCoefficients(
-                breakpoints=np.array([0.5, 0.25]),
-                r=np.full((3, 2), 0.05),
-                alpha=np.full((3, 2), 0.2),
-                sigma=np.full((3, 2), 0.25),
-            )
+    def test_breakpoints_must_increase(self, bench_spec):
+        ov = PiecewiseCoefficients(
+            breakpoints=np.array([0.5, 0.25]),
+            r=np.full((3, 2), 0.05),
+            alpha=np.full((3, 2), 0.2),
+            sigma=np.full((3, 2), 0.25),
+        )
+        with pytest.raises(SpecValidationError, match="increasing"):
+            validate_spec(overridden(bench_spec, ov))
 
-    def test_row_count_must_match(self):
-        with pytest.raises(ValueError, match="one row per interval"):
-            PiecewiseCoefficients(
-                breakpoints=np.array([0.5]),
-                r=np.full((1, 2), 0.05),
-                alpha=np.full((2, 2), 0.2),
-                sigma=np.full((2, 2), 0.25),
-            )
+    def test_row_count_must_match(self, bench_spec):
+        ov = PiecewiseCoefficients(
+            breakpoints=np.array([0.5]),
+            r=np.full((1, 2), 0.05),
+            alpha=np.full((2, 2), 0.2),
+            sigma=np.full((2, 2), 0.25),
+        )
+        with pytest.raises(SpecValidationError, match="one row per interval"):
+            validate_spec(overridden(bench_spec, ov))
 
-    def test_right_continuous_lookup(self):
-        ov = two_phase_override()
-        assert ov.at(0.49)[0][0] == 0.05
-        assert ov.at(0.5)[0][0] == 0.10
+    def test_non_finite_value_named_by_field_path(self):
+        r = np.array([[np.nan, 0.05], [0.10, 0.10]])
+        assert "override.r[0][0] must be finite" in override_violations(r=r)
+
+    def test_column_count_must_match_states(self):
+        msg = override_violations(alpha=np.full((2, 3), 0.2))
+        assert "override.alpha must have shape (2, 2)" in msg and "got (2, 3)" in msg
+
+    def test_one_dimensional_rows_rejected(self):
+        msg = override_violations(r=np.array([0.05, 0.10]))
+        assert "override.r must have shape (2, 2)" in msg and "got (2,)" in msg
+
+    def test_non_finite_breakpoint_rejected(self):
+        assert "override.breakpoints[0] must be finite" in override_violations([np.nan])
+
+    def test_breakpoint_past_horizon_rejected(self):
+        assert "override.breakpoints must lie inside (0, 1.0)" in override_violations([1.5])
+
+    def test_violations_join_the_spec_violations(self):
+        spec = replace(make_spec(sigma=-0.25), override=replace(
+            two_phase_override(), sigma=np.array([[0.25, 0.0], [0.3, 0.3]])))
+        with pytest.raises(SpecValidationError) as err:
+            solve_g(spec)
+        assert any(v.startswith("sigma must be positive") for v in err.value.violations)
+        assert any(v.startswith("override.sigma must be positive") for v in err.value.violations)
+
+    def test_right_continuous_lookup(self, bench_spec):
+        spec = overridden(bench_spec, two_phase_override())
+        nodes, r, _, _ = spec.coefficients_on(np.array([0.0, 0.49, 1.0]))
+        np.testing.assert_array_equal(nodes, [0.0, 0.49, 0.5, 1.0])
+        assert r[1][0] == 0.05  # [0.49, 0.5)
+        assert r[2][0] == 0.10  # [0.5, 1.0): the breakpoint opens the new interval
+
+    def test_coefficients_on_joins_breakpoints(self, bench_spec):
+        # One breakpoint inside the grid, one equal to a node, one outside it.
+        ov = PiecewiseCoefficients(
+            breakpoints=np.array([0.25, 0.5, 0.75]),
+            r=np.array([[0.01] * 2, [0.02] * 2, [0.03] * 2, [0.04] * 2]),
+            alpha=np.full((4, 2), 0.2),
+            sigma=np.full((4, 2), 0.25),
+        )
+        spec = overridden(bench_spec, ov)
+        nodes, r, mu, sigma = spec.coefficients_on(np.array([0.0, 0.5, 0.6]))
+        np.testing.assert_array_equal(nodes, [0.0, 0.25, 0.5, 0.6])
+        np.testing.assert_array_equal(r[:, 0], [0.01, 0.02, 0.03])
+        np.testing.assert_array_equal(mu, 0.2 - r)
+        assert sigma.shape == (3, 2)
+
+    def test_no_override_broadcasts_the_spec(self, bench_spec):
+        grid = np.array([0.0, 0.3, 1.0])
+        nodes, r, mu, sigma = bench_spec.coefficients_on(grid)
+        np.testing.assert_array_equal(nodes, grid)
+        for rows, v in ((r, bench_spec.r), (mu, bench_spec.mu), (sigma, bench_spec.sigma)):
+            np.testing.assert_array_equal(rows, [v, v])
+
+    def test_closed_form_refuses_an_override(self):
+        spec = overridden(make_spec(rho=(0.9, 0.9)), constant_override())
+        with pytest.raises(ValueError, match="override"):
+            merton_eta(spec)
 
 
 class TestSolversHonorOverrides:
     def test_constant_override_is_a_no_op(self, bench_spec):
         base = solve_g(bench_spec)
-        with_ov = solve_g(bench_spec, coeffs=constant_override())
+        with_ov = solve_g(overridden(bench_spec, constant_override()))
         np.testing.assert_array_equal(base.g_table.values, with_ov.g_table.values)
 
     def test_two_phase_solve_matches_leg_by_leg_reference(self, bench_spec):
@@ -67,7 +140,7 @@ class TestSolversHonorOverrides:
         # at the breakpoint; the single override solve must agree.
         spec = bench_spec
         ov = two_phase_override()
-        sol = solve_g(spec, coeffs=ov)
+        sol = solve_g(overridden(spec, ov))
 
         def leg_system(interval, t_lo, t_hi, terminal):
             r = ov.r[interval]
@@ -97,10 +170,10 @@ class TestSolversHonorOverrides:
             sol.g_table.interpolate(0.5), tail.values[0], atol=1e-6
         )
 
-    def test_growth_exponent_tracks_override(self, bench_spec):
-        ov = two_phase_override()
-        early = growth_exponent(bench_spec, 0.2, ov)
-        late = growth_exponent(bench_spec, 0.8, ov)
+    def test_growth_rate_tracks_override(self, bench_spec):
+        spec = overridden(bench_spec, two_phase_override())
+        _, r, mu, sigma = spec.coefficients_on(np.array([0.0, 1.0]))
+        early, late = growth_rate(spec.gamma, r, mu, sigma)  # [0, 0.5) and [0.5, 1)
         assert not np.allclose(early, late)
 
 
@@ -109,9 +182,8 @@ class TestSimulationHonorsOverrides:
         strat = ProportionalStrategy.from_constants(0.8, 0.5, 1.0, n_states=2)
         rng = RngSpec(seed=21)
         base = sample_terminal_wealth(strat, 1.0, 0, bench_spec, 200, rng, n_grid=64)
-        with_ov = sample_terminal_wealth(
-            strat, 1.0, 0, bench_spec, 200, rng, n_grid=64, coeffs=constant_override()
-        )
+        spec = overridden(bench_spec, constant_override())
+        with_ov = sample_terminal_wealth(strat, 1.0, 0, spec, 200, rng, n_grid=64)
         np.testing.assert_allclose(base, with_ov, rtol=1e-12)
 
     def test_two_phase_deterministic_growth(self):
@@ -125,20 +197,22 @@ class TestSimulationHonorsOverrides:
             sigma=np.array([[0.25, 0.25], [0.25, 0.25]]),
         )
         strat = ProportionalStrategy.from_constants(0.0, 0.0, 1.0, n_states=2)
-        xt = sample_terminal_wealth(strat, 1.0, 0, spec, 4, RngSpec(seed=1), n_grid=64, coeffs=ov)
+        xt = sample_terminal_wealth(
+            strat, 1.0, 0, overridden(spec, ov), 4, RngSpec(seed=1), n_grid=64
+        )
         np.testing.assert_allclose(xt, np.exp(0.5 * 0.05 + 0.5 * 0.10), rtol=1e-12)
 
     def test_feynman_kac_with_override_matches_plain_constant_case(self, bench_spec):
         strat = ProportionalStrategy.from_constants(0.6, 0.4, 1.0, n_states=2)
         base = feynman_kac_value(strat, 0.9, bench_spec)
-        with_ov = feynman_kac_value(strat, 0.9, bench_spec, coeffs=constant_override())
+        with_ov = feynman_kac_value(strat, 0.9, overridden(bench_spec, constant_override()))
         np.testing.assert_array_equal(base.table.values, with_ov.table.values)
 
     def test_picard_with_override_stays_fixed_point(self, bench_spec):
-        sol = solve_g(bench_spec, coeffs=constant_override())
+        spec = overridden(bench_spec, constant_override())
+        sol = solve_g(spec)
         est = picard_apply(
-            bench_spec, sol.g_table, 20_000, RngSpec(seed=42),
-            eval_times=np.linspace(0.0, 1.0, 5), coeffs=constant_override(),
+            spec, sol.g_table, 20_000, RngSpec(seed=42), eval_times=np.linspace(0.0, 1.0, 5),
         )
         dev = est.deviation_from(sol.g_table)
         assert (dev <= np.maximum(3 * est.stderr, 3e-3)).all()

@@ -144,7 +144,7 @@ class TestPolicy:
             invest_frac, consume_frac = policy.values_at(t)
             for x in (0.5, 1.0, 3.0):
                 for i in range(2):
-                    g = float(sol.g_table.component(t, i))
+                    g = float(sol.g_table.interpolate(t)[i])
                     v_x = g * x ** (gamma - 1)
                     v_xx = (gamma - 1) * g * x ** (gamma - 2)
                     mu, s2 = spec.mu[i], spec.sigma[i] ** 2

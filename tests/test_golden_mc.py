@@ -11,6 +11,7 @@ market at 20 jumps a year, where many cells carry several jumps.
 
 import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,15 +68,15 @@ def regime_market(seed: int, exit_rate: float, states: int = 32) -> MarketSpec:
 
 @functools.lru_cache(maxsize=None)
 def _bench(gamma, override=None):
-    """The bench spec, its coefficient override and a coarse solution, solved once."""
-    coeffs = {None: None, "two_phase": two_phase_override(), "mid_cell": mid_cell_override()}
-    spec = benchmark_spec(gamma)
-    return spec, coeffs[override], solve(spec, n_steps=64, tol=1e-4, coeffs=coeffs[override])
+    """The bench spec under its coefficient override and a coarse solution, solved once."""
+    overrides = {None: None, "two_phase": two_phase_override(), "mid_cell": mid_cell_override()}
+    spec = replace(benchmark_spec(gamma), override=overrides[override])
+    return spec, solve(spec, n_steps=64, tol=1e-4)
 
 
 def _policy(gamma, override=None):
-    spec, coeffs, sol = _bench(gamma, override)
-    return spec, coeffs, ProportionalStrategy.from_policy(sol)
+    spec, sol = _bench(gamma, override)
+    return spec, ProportionalStrategy.from_policy(sol)
 
 
 def _regime_strategy(spec):
@@ -88,21 +89,21 @@ def _regime_strategy(spec):
 
 def _estimate(case):
     if case == "power":
-        spec, _, strategy = _policy(-1.0)
+        spec, strategy = _policy(-1.0)
         return estimate_J(strategy, 0.0, 1.0, 0, spec, 2000, RngSpec(seed=31, stream=4),
                           n_grid=256)
     if case == "power_late_start":
-        spec, _, strategy = _policy(-1.0)
+        spec, strategy = _policy(-1.0)
         return estimate_J(strategy, 0.37, 1.3, 1, spec, 2000, RngSpec(seed=32, stream=5),
                           n_grid=100)
     if case == "log":
-        spec, _, strategy = _policy(0.0)
+        spec, strategy = _policy(0.0)
         return estimate_J(strategy, 0.0, 2.0, 1, spec, 2000, RngSpec(seed=33, stream=6),
                           n_grid=256)
     if case in ("override", "override_mid_cell"):
-        spec, ov, strategy = _policy(-1.0, "two_phase" if case == "override" else "mid_cell")
+        spec, strategy = _policy(-1.0, "two_phase" if case == "override" else "mid_cell")
         return estimate_J(strategy, 0.0, 1.0, 0, spec, 2000,
-                          RngSpec(seed=34, stream=7), n_grid=256, coeffs=ov)
+                          RngSpec(seed=34, stream=7), n_grid=256)
     if case == "regimes32":
         spec = regime_market(20260811, 20.0)
         return estimate_J(_regime_strategy(spec), 0.0, 1.0, 0, spec, 1000,
@@ -144,13 +145,13 @@ def test_sample_terminal_wealth_is_pinned():
 
 def _picard(case):
     if case == "bench":
-        spec, _, sol = _bench(-1.0)
+        spec, sol = _bench(-1.0)
         return picard_apply(spec, sol.g_table, 500, RngSpec(seed=37, stream=10),
                             eval_times=np.array([0.0, 0.5, 0.9, 1.0]), quad_cells=32)
     if case == "override":
-        spec, ov, sol = _bench(-1.0, "mid_cell")
+        spec, sol = _bench(-1.0, "mid_cell")
         return picard_apply(spec, sol.g_table, 400, RngSpec(seed=38, stream=11),
-                            eval_times=np.array([0.1]), quad_cells=16, coeffs=ov)
+                            eval_times=np.array([0.1]), quad_cells=16)
     if case == "regimes32":
         spec = regime_market(20260811, 20.0)
         grid = np.linspace(0.0, 1.0, 65)

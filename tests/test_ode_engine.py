@@ -8,7 +8,6 @@ from rsmerton.ode_engine import (
     OdeSystem,
     SolutionTable,
     interp_by_state,
-    merge_breakpoints,
     residual_norm,
     rk4_solve,
     solve_terminal_ode,
@@ -203,8 +202,3 @@ class TestTableHelpers:
             interp_by_state(grid, table, np.array([0.5, 0.5]), np.array([5, 7]))
         with pytest.raises(IndexError, match="state -1"):
             interp_by_state(grid, table, np.array([0.5]), np.array([-1]))
-
-    def test_merge_breakpoints(self):
-        edges = np.array([0.0, 0.5, 1.0])
-        out = merge_breakpoints(edges, np.array([0.25, 0.5, 2.0]))
-        np.testing.assert_array_equal(out, [0.0, 0.25, 0.5, 1.0])
