@@ -245,42 +245,60 @@ def validate_spec(spec: MarketSpec) -> MarketSpec:
     return spec
 
 
-_JSON_KEYS = {"states", "r", "alpha", "sigma", "generator", "rho", "gamma", "horizon"}
+# List depth of each JSON field (0: a number); states must be an integer.
+_JSON_NDIM = {"states": 0, "r": 1, "alpha": 1, "sigma": 1, "generator": 2, "rho": 1,
+              "gamma": 0, "horizon": 0}
+_OVERRIDE_NDIM = {"breakpoints": 1, "r": 2, "alpha": 2, "sigma": 2}
+_NDIM_NAMES = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
+def _shape_violations(data: dict, ndims: dict, prefix: str = "") -> list[str]:
+    """One violation per field that is not a number, or lists of numbers as deep as ndims."""
+    errs = []
+    for name, ndim in ndims.items():
+        try:
+            arr = np.asarray(data[name])
+        except ValueError:  # ragged lists
+            arr = np.asarray(None)
+        if arr.ndim != ndim or arr.dtype.kind not in ("iu" if name == "states" else "iuf"):
+            what = "an integer" if name == "states" else _NDIM_NAMES[ndim]
+            errs.append(f"{prefix}{name} must be {what}, got {data[name]!r}")
+    return errs
 
 
 def market_spec_from_json(doc: str | dict[str, Any]) -> MarketSpec:
-    """Build and validate a MarketSpec from a JSON document (unknown keys rejected)."""
+    """Build and validate a MarketSpec, override included, from JSON (unknown keys rejected)."""
     data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    unknown = set(data) - _JSON_KEYS
+    unknown = set(data) - set(_JSON_NDIM) - {"override"}
     if unknown:
         raise SpecValidationError([f"unknown key: {k}" for k in sorted(unknown)])
-    missing = _JSON_KEYS - set(data)
+    missing = set(_JSON_NDIM) - set(data)
     if missing:
         raise SpecValidationError([f"missing key: {k}" for k in sorted(missing)])
+    errs = _shape_violations(data, _JSON_NDIM)
+    ov = data.get("override")
+    if ov is not None and (not isinstance(ov, dict) or set(ov) != set(_OVERRIDE_NDIM)):
+        errs.append(f"override must be an object with keys {sorted(_OVERRIDE_NDIM)}, got {ov!r}")
+    elif ov is not None:
+        errs += _shape_violations(ov, _OVERRIDE_NDIM, "override.")
+    if errs:
+        raise SpecValidationError(errs)
     spec = MarketSpec(
-        states=int(data["states"]),
-        r=data["r"],
-        alpha=data["alpha"],
-        sigma=data["sigma"],
+        **{k: data[k] for k in ("r", "alpha", "sigma", "rho")},
+        states=int(data["states"]), gamma=float(data["gamma"]), horizon=float(data["horizon"]),
         generator=RegimeGenerator(data["generator"]),
-        rho=data["rho"],
-        gamma=float(data["gamma"]),
-        horizon=float(data["horizon"]),
+        override=None if ov is None else PiecewiseCoefficients(**ov),
     )
     return validate_spec(spec)
 
 
 def market_spec_to_json(spec: MarketSpec) -> dict[str, Any]:
-    return {
-        "states": spec.states,
-        "r": spec.r.tolist(),
-        "alpha": spec.alpha.tolist(),
-        "sigma": spec.sigma.tolist(),
-        "generator": spec.generator.rates.tolist(),
-        "rho": spec.rho.tolist(),
-        "gamma": spec.gamma,
-        "horizon": spec.horizon,
-    }
+    """The JSON document of a spec; the "override" key only when it has one."""
+    doc = {k: np.asarray(getattr(spec, k)).tolist() for k in _JSON_NDIM if k != "generator"}
+    doc["generator"] = spec.generator.rates.tolist()
+    if spec.override is not None:
+        doc["override"] = {k: getattr(spec.override, k).tolist() for k in _OVERRIDE_NDIM}
+    return doc
 
 
 def utility(c, prefs: Preferences):

@@ -173,10 +173,10 @@ def _power_rhs_factory(spec: MarketSpec):
     power = g / (g - 1.0)
 
     def make_rhs(r, mu, sigma):
-        q = growth_rate(g, r, mu, sigma)
+        q_rho = growth_rate(g, r, mu, sigma) - rho
 
         def rhs(t, y):
-            return -((q - rho) * y + rates @ y + (1 - g) * np.power(y, power))
+            return -(q_rho * y + rates @ y + (1 - g) * np.power(y, power))
 
         return rhs
 

@@ -93,20 +93,20 @@ class ProportionalStrategy:
         b = spec.prefs.consumption(solution.table.values, spec.states)
         return cls(grid, np.vstack([a, a[-1:]]), b)
 
-    def values_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-state (a, b) vectors at time t."""
+    def values_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Per-state (a, b) at time(s) t, each of shape t.shape + (S,)."""
+        t = np.asarray(t, dtype=float)
         g = self.grid
-        # uniform grids take the direct-index path; solver stages hit this a lot
         step = self._uniform_step
-        if step is not None:
-            pos = (t - g[0]) / step
-            k = min(max(int(pos), 0), g.size - 2)
-            w = min(max(pos - k, 0.0), 1.0)
-            a = self.invest_frac[k] + (self.invest_frac[k + 1] - self.invest_frac[k]) * w
-            b = self.consume_frac[k] + (self.consume_frac[k + 1] - self.consume_frac[k]) * w
-            return a, b
-        a = np.array([np.interp(t, g, self.invest_frac[:, j]) for j in range(self.n_states)])
-        b = np.array([np.interp(t, g, self.consume_frac[:, j]) for j in range(self.n_states)])
+        if step is None:
+            cols = np.arange(self.n_states)
+            return (interp_by_state(g, self.invest_frac, t[..., None], cols),
+                    interp_by_state(g, self.consume_frac, t[..., None], cols))
+        pos = (t - g[0]) / step
+        k = np.clip(pos.astype(np.int64), 0, g.size - 2)
+        w = np.clip(pos - k, 0.0, 1.0)[..., None]
+        a = self.invest_frac[k] + (self.invest_frac[k + 1] - self.invest_frac[k]) * w
+        b = self.consume_frac[k] + (self.consume_frac[k + 1] - self.consume_frac[k]) * w
         return a, b
 
     def scaled(self, invest: float = 1.0, consume: float = 1.0) -> "ProportionalStrategy":
@@ -282,35 +282,30 @@ class FrozenValueTable:
 
 
 def _fk_rhs_factory(strategy: ProportionalStrategy, frozen_rho: float, spec: MarketSpec):
-    """Leg-wise right-hand side of the frozen-discount value system."""
+    """Leg-wise right-hand side of the frozen-discount value system; terms in t alone are tabulated."""
     S = spec.states
     rates = spec.generator.rates
     gamma = spec.gamma
-    if spec.prefs.is_log:
-
-        def make_rhs(r, mu, sigma):
-            def rhs(t, y):
-                h, low = y[:S], y[S:]
-                a, b = strategy.values_at(t)
-                dh = -(1.0 - frozen_rho * h + rates @ h)
-                dl = -(
-                    (r + mu * a - b - 0.5 * sigma**2 * a**2) * h
-                    + np.log(b)
-                    - frozen_rho * low
-                    + rates @ low
-                )
-                return np.concatenate([dh, dl])
-
-            return rhs
-
-        return make_rhs
+    is_log = spec.prefs.is_log
 
     def make_rhs(r, mu, sigma):
-        def rhs(t, f):
-            a, b = strategy.values_at(t)
-            coef = gamma * (r + mu * a - b) + 0.5 * gamma * (gamma - 1.0) * sigma**2 * a**2
-            return -((coef - frozen_rho) * f + rates @ f + np.power(b, gamma))
+        def tabulate(times):
+            a, b = strategy.values_at(times)
+            if is_log:
+                rows = [r + mu * a - b - 0.5 * sigma**2 * a**2, np.log(b)]
+            else:
+                coef = gamma * (r + mu * a - b) + 0.5 * gamma * (gamma - 1.0) * sigma**2 * a**2
+                rows = [coef - frozen_rho, np.power(b, gamma)]
+            return np.stack(rows, axis=-2)
 
+        def rhs(c, y):
+            if not is_log:
+                return -(c[0] * y + rates @ y + c[1])
+            h, low = y[:S], y[S:]
+            dh = -(1.0 - frozen_rho * h + rates @ h)
+            return np.concatenate([dh, -(c[0] * h + c[1] - frozen_rho * low + rates @ low)])
+
+        rhs.tabulate = tabulate
         return rhs
 
     return make_rhs

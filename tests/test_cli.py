@@ -186,6 +186,19 @@ class TestMain:
         assert f"error: config.{field}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("states", "two"), ("r", "abc"), ("generator", 5), ("horizon", [1.0]),
+    ])
+    def test_wrong_market_field_type_returns_2(self, tmp_path, capsys, field, value):
+        doc = minimal_config(tmp_path)
+        doc["market"][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config.market: {field} must be" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv, path", [
         (["validate", "--paths", "1"], "config.paths"),
         (["solve", "--grid", "4"], "config.grid"),

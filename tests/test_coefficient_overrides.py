@@ -1,11 +1,19 @@
 """Piecewise-constant-in-time market coefficients through every solver route."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rsmerton.core_model import PiecewiseCoefficients, SpecValidationError, validate_spec
+from rsmerton.cli import spec_hash
+from rsmerton.core_model import (
+    PiecewiseCoefficients,
+    SpecValidationError,
+    market_spec_from_json,
+    market_spec_to_json,
+    validate_spec,
+)
 from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import growth_rate, merton_eta, picard_apply, solve_g
 from rsmerton.ode_engine import OdeSystem, rk4_solve
@@ -127,6 +135,34 @@ class TestValidation:
         spec = overridden(make_spec(rho=(0.9, 0.9)), constant_override())
         with pytest.raises(ValueError, match="override"):
             merton_eta(spec)
+
+
+class TestJson:
+    def test_round_trip_keeps_the_override(self, bench_spec):
+        spec = overridden(bench_spec, two_phase_override())
+        back = market_spec_from_json(json.dumps(market_spec_to_json(spec)))
+        for name in ("breakpoints", "r", "alpha", "sigma"):
+            np.testing.assert_array_equal(
+                getattr(back.override, name), getattr(spec.override, name)
+            )
+        assert market_spec_to_json(back) == market_spec_to_json(spec)
+
+    def test_spec_hash_tells_the_override(self, bench_spec):
+        assert "override" not in market_spec_to_json(bench_spec)
+        assert spec_hash(overridden(bench_spec, two_phase_override())) != spec_hash(bench_spec)
+
+    @pytest.mark.parametrize("override, message", [
+        (5, "override must be an object with keys"),
+        ({"breakpoints": [0.5], "r": [[0.05, 0.05]]}, "override must be an object with keys"),
+        ({"breakpoints": 0.5, "r": [[0.05, 0.05], [0.1, 0.1]], "alpha": [[0.2, 0.2]] * 2,
+          "sigma": [[0.25, 0.25]] * 2}, "override.breakpoints must be a list of numbers"),
+        ({"breakpoints": [0.5], "r": [[0.05, 0.05], [0.1, 0.1]], "alpha": [[0.2, 0.2]] * 2,
+          "sigma": [[0.25, 0.25], [0.3]]}, "override.sigma must be a list of lists of numbers"),
+    ])
+    def test_malformed_override_named(self, bench_spec, override, message):
+        doc = {**market_spec_to_json(bench_spec), "override": override}
+        with pytest.raises(SpecValidationError, match=message):
+            market_spec_from_json(doc)
 
 
 class TestSolversHonorOverrides:

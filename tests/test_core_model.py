@@ -182,6 +182,17 @@ class TestJsonInterface:
         with pytest.raises(SpecValidationError, match="missing key: rho"):
             market_spec_from_json(doc)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", "two", "states must be an integer, got 'two'"),
+        ("r", "abc", "r must be a list of numbers, got 'abc'"),
+        ("generator", 5, "generator must be a list of lists of numbers, got 5"),
+        ("horizon", [1.0], r"horizon must be a number, got \[1.0\]"),
+    ])
+    def test_wrong_json_type_named(self, bench_spec, field, value, message):
+        doc = {**market_spec_to_json(bench_spec), field: value}
+        with pytest.raises(SpecValidationError, match=message):
+            market_spec_from_json(doc)
+
     def test_invalid_payload_rejected(self, bench_spec):
         doc = market_spec_to_json(bench_spec)
         doc["sigma"] = [0.25, -0.25]

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from rsmerton.ode_engine import (
+    BLOCK_STEPS,
     OdeConvergenceError,
     OdeDomainError,
     OdeSystem,
@@ -83,6 +84,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="at least 16"):
             solve_terminal_ode(scalar_discount_system(), n_steps=8)
 
+    def test_tabulated_rhs_takes_its_rows(self):
+        # y' = t y - 1, once with t read per stage and once tabulated per block
+        def tabulated(c, y):
+            return c * y - 1.0
+
+        tabulated.tabulate = lambda times: times[..., None]
+        plain = OdeSystem(1, lambda t, y: t * y - 1.0, np.array([1.0]), 1.0)
+        tab = OdeSystem(1, tabulated, np.array([1.0]), 1.0)
+        n = 2 * BLOCK_STEPS + 44
+        a, b = rk4_solve(plain, n), rk4_solve(tab, n)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert residual_norm(tab, a) == residual_norm(plain, a)
+
     def test_sub_interval_domain(self):
         sys_ = OdeSystem(
             dimension=1,
@@ -122,6 +136,107 @@ class TestDomainGuards:
     def test_convergence_cap(self):
         with pytest.raises(OdeConvergenceError):
             solve_terminal_ode(scalar_discount_system(), n_steps=16, tol=0.0, max_steps=64)
+
+
+def per_stage_error(system, n_steps):
+    """The OdeDomainError of an RK4 sweep that checks each stage's input and derivative in turn."""
+    h = (system.horizon - system.t_start) / n_steps
+    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
+
+    def check(t, v, what, floor):
+        if floor is not None and (v < floor).any():
+            j = int(np.argmax(v < floor))
+            raise OdeDomainError(t, j, float(v[j]), f"{what} fell below positivity floor")
+        if not np.isfinite(v).all():
+            j = int(np.argmax(~np.isfinite(v)))
+            raise OdeDomainError(t, j, float(v[j]), f"non-finite {what}")
+
+    def f(t, v):
+        check(t, v, "state", system.positivity_floor)
+        d = system.rhs(t, v)
+        check(t, d, "derivative", None)
+        return d
+
+    y = system.terminal_values.copy()
+    try:
+        with np.errstate(all="ignore"):
+            for k in range(n_steps, 0, -1):
+                t = ts[k]
+                k1 = f(t, y)
+                k2 = f(t - h / 2, y - (h / 2) * k1)
+                k3 = f(t - h / 2, y - (h / 2) * k2)
+                k4 = f(t - h, y - h * k3)
+                y = y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        check(system.t_start, y, "state", system.positivity_floor)
+    except OdeDomainError as e:
+        return e
+    return None
+
+
+class TestBlockCheck:
+    """rk4_solve checks a block of steps at once but reports what a per-stage check would."""
+
+    N = 2 * BLOCK_STEPS + 44  # two full blocks, then a partial one
+    H = 1.0 / N
+    TS = np.linspace(0.0, 1.0, N + 1)
+
+    def kicked(self, t_hit, kick):
+        """Two components from y(1) = (1, 1) above a 0.5 floor; rhs is kick(y) near t_hit, else 0."""
+        near = lambda t: abs(t - t_hit) < self.H / 4  # noqa: E731
+        return OdeSystem(
+            dimension=2,
+            rhs=lambda t, y: kick(y) if near(t) else np.zeros(2),
+            terminal_values=np.ones(2),
+            horizon=1.0,
+            positivity_floor=0.5,
+        )
+
+    def mid(self, step):
+        """Time of the k2 and k3 stages of the step-th step of the sweep (1 is the first)."""
+        return self.TS[self.N - step + 1] - self.H / 2
+
+    def assert_same_error(self, system, message, t):
+        ref = per_stage_error(system, self.N)
+        with pytest.raises(OdeDomainError) as got:
+            rk4_solve(system, self.N)
+        e = got.value
+        assert (str(e), e.t, e.component) == (str(ref), ref.t, ref.component)
+        np.testing.assert_equal(e.value, ref.value)
+        assert str(e).startswith(message)
+        assert e.t == t
+
+    def test_floor_crossing_at_a_k3_stage_input(self):
+        # k2 = 360 at the middle stages sends the k3 input 0.6 down, to 0.4
+        sys_ = self.kicked(self.mid(200), lambda y: np.array([0.0, 0.6 / (self.H / 2)]))
+        self.assert_same_error(sys_, "state fell below positivity floor", self.mid(200))
+
+    def test_non_finite_derivative_at_a_middle_stage(self):
+        sys_ = self.kicked(self.mid(150), lambda y: np.array([np.nan, 0.0]))
+        self.assert_same_error(sys_, "non-finite derivative", self.mid(150))
+
+    def test_state_failure_wins_over_derivative_failure_at_one_stage(self):
+        # The k3 input falls below the floor, and rhs gives NaN there: the
+        # state is checked before its derivative.
+        def kick(y):
+            return np.array([0.0, 0.6 / (self.H / 2) if y[1] >= 0.5 else np.nan])
+
+        self.assert_same_error(
+            self.kicked(self.mid(140), kick), "state fell below positivity floor", self.mid(140)
+        )
+
+    def test_failure_in_the_first_step(self):
+        # k1 at t = 1 sends the k2 input of the first step below the floor
+        sys_ = self.kicked(1.0, lambda y: np.array([0.0, 0.6 / (self.H / 2)]))
+        self.assert_same_error(sys_, "state fell below positivity floor", self.mid(1))
+
+    def test_failure_in_the_last_partial_block(self):
+        sys_ = self.kicked(0.0, lambda y: np.array([0.0, np.inf]))
+        self.assert_same_error(sys_, "non-finite derivative", self.TS[1] - self.H)
+
+    def test_failure_of_the_final_state(self):
+        # Only k4 of the last step kicks, so only the state at t = 0 is below the floor
+        sys_ = self.kicked(0.0, lambda y: np.array([0.0, 0.6 / (self.H / 6)]))
+        self.assert_same_error(sys_, "state fell below positivity floor", 0.0)
 
 
 class TestResidual:
