@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of the benchmark, summarised into one JSON file.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --workload fig1-cert
+    python3 scripts/bench_pairs.py --parent ../parent --change . --out BENCH_<n>.json
 
 For each workload and for seeds 20260811 and 7919, runs `perfbench/run.py
 --trace 0` (at its default run length) from the parent checkout and from the
@@ -38,7 +38,8 @@ def parse_args(argv):
     p.add_argument("--change", required=True, type=Path, help="checkout of the change")
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="workload to run (repeatable; default: all)")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
+    p.add_argument("--out", required=True, type=Path,
+                   help="result file, one per change (BENCH_<n>.json), so no run overwrites another")
     return p.parse_args(argv)
 
 

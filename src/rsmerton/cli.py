@@ -42,7 +42,7 @@ from rsmerton.simulate import (
     perturbation_menu,
 )
 
-SOLVER_VERSION = "rk4-1"
+SOLVER_VERSION = "rk4-2"
 SLOPE_TOLERANCE = -1e-6
 
 # Built-in two-regime benchmark market: excess return 0.15 and volatility 0.25

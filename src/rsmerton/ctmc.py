@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rsmerton.core_model import RegimeGenerator
-from rsmerton.ode_engine import interp_by_state, running_sum
+from rsmerton.ode_engine import BLOCK_ELEMENTS, interp_by_state, running_sum
 from rsmerton.reporting import MCReport
 
 CHAIN_SUBSTREAM = 0
@@ -137,11 +137,6 @@ def sample_skeletons(
         jump_times=jt,
         states_after=st,
     )
-
-
-# Cells per block: one (cells, paths) array of a block holds about this many
-# elements, which amortises the per-block work and keeps temporaries small.
-BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ mu x / (sigma^2 (1-gamma)), consume g^(1/(gamma-1)) x.
 
 Log utility: v = h(t,i) log x + l(t,i); h solves the linear system
 dh/dt - rho_i h + sum_j rates[i,j] h(.,j) + 1 = 0 with h(T,i) = 1, and l a
-linear system fed by h with l(T,i) = 0. Policies: invest mu x / sigma^2,
-consume x / h.
+linear system fed by h with l(T,i) = 0, each one affine RK4 sweep per leg
+(ode_engine.affine_pair_solve). Policies: invest mu x / sigma^2, consume x / h.
 
 The Picard operator of the fixed-point characterization
 
@@ -26,22 +26,27 @@ oracle for the ODE route (note the discount rate inside K follows the chain).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from rsmerton.core_model import MarketSpec, validate_spec
 from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.ode_engine import (
+    OdeDomainError,
     OdeSystem,
     SolutionTable,
+    affine_pair_solve,
     interp_by_state,
     rk4_solve,
     running_sum,
     solve_terminal_ode,
     step_cumulative,
+    step_halving,
 )
 
 G_POSITIVITY_FLOOR = 1e-12
+RK4_STABILITY_LIMIT = 2.785  # largest stable h * |lambda| of explicit RK4 on the real axis
 PICARD_EVAL_POINTS = 17
 PICARD_QUAD_CELLS = 128
 
@@ -61,12 +66,15 @@ def solve_market_ode(
     t_start: float = 0.0,
     horizon: float | None = None,
     positivity_floor=None,
+    sweep=None,
 ) -> SolutionTable:
     """Composite backward solve over the market's constant-coefficient legs.
 
     make_rhs(r, mu, sigma) builds the leg's right-hand side with coefficients
     pinned, so each leg is smooth and coefficient discontinuities always land
-    on leg boundaries. tol=None does one fixed-step sweep per leg.
+    on leg boundaries. sweep=None runs RK4's stage loop, else an affine sweep
+    of ode_engine reads rhs as it documents. tol=None does one fixed-step sweep
+    per leg. A domain failure notes a leg step beyond RK4's stability limit.
     """
     horizon = spec.horizon if horizon is None else horizon
     cuts, r, mu, sigma = spec.coefficients_on([t_start, horizon])
@@ -84,10 +92,21 @@ def solve_market_ode(
             t_start=lo,
             positivity_floor=positivity_floor,
         )
-        table = (
-            rk4_solve(system, steps) if tol is None
-            else solve_terminal_ode(system, n_steps=steps, tol=tol)
-        )
+        run = partial(sweep or rk4_solve, system)
+        try:
+            if tol is not None and sweep is None:
+                table = solve_terminal_ode(system, n_steps=steps, tol=tol)
+            else:
+                table = run(steps) if tol is None else step_halving(run, steps, tol)
+        except OdeDomainError as e:
+            h, radius = (hi - lo) / steps, np.abs(np.linalg.eigvals(spec.generator.rates)).max()
+            if h * radius <= RK4_STABILITY_LIMIT:
+                raise
+            raise OdeDomainError(e.t, e.component, e.value, e.reason, (
+                f"step {h:.6g} times the generator's spectral radius {radius:.6g} is "
+                f"{h * radius:.3g}, beyond explicit RK4's stability limit {RK4_STABILITY_LIMIT}: "
+                f"use at least {int(np.ceil((hi - lo) * radius / RK4_STABILITY_LIMIT))} steps"
+            )) from None
         tables.append(table)
         term = table.values[0]
     tables.reverse()
@@ -124,15 +143,7 @@ class ConsumptionCurve:
     rates: np.ndarray  # (n_nodes, S)
 
     def to_csv(self, meta: dict | None = None) -> str:
-        cols = ",".join(f"C{j}" for j in range(self.rates.shape[1]))
-        lines = []
-        if meta:
-            lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
-        lines.append("t," + cols)
-        for k in range(self.grid.size):
-            row = ",".join(f"{v:.12g}" for v in self.rates[k])
-            lines.append(f"{self.grid[k]:.12g},{row}")
-        return "\n".join(lines) + "\n"
+        return SolutionTable(grid=self.grid, values=self.rates).to_csv(meta, column="C")
 
 
 def solve_g(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> EquilibriumSolution:
@@ -154,54 +165,45 @@ def _solve_branch(spec, n_steps, tol) -> EquilibriumSolution:
     terminal = spec.prefs.terminal(spec.states)
     floor = np.full(terminal.size, -np.inf)
     floor[: spec.states] = G_POSITIVITY_FLOOR
-    table = solve_market_ode(
-        rhs_factory(spec), spec, terminal, n_steps, tol, positivity_floor=floor
-    )
+    log = spec.prefs.is_log
+    table = solve_market_ode((_log_coefficients if log else rhs_factory)(spec), spec, terminal,
+                             n_steps, tol, positivity_floor=floor,
+                             sweep=affine_pair_solve if log else None)
     return EquilibriumSolution(spec=spec, table=table)
 
 
-def rhs_factory(spec: MarketSpec):
-    """Leg-wise right-hand side of the spec's coefficient system: g, or h then l."""
-    return _log_rhs_factory(spec) if spec.prefs.is_log else _power_rhs_factory(spec)
-
-
-def _power_rhs_factory(spec: MarketSpec):
-    """Leg-wise right-hand side of the g-system."""
-    g = spec.gamma
-    rates = spec.generator.rates
-    rho = spec.rho
-    power = g / (g - 1.0)
+def _log_coefficients(spec: MarketSpec):
+    """Leg-wise A and f of the h-system, then of the l-system fed by h (affine_pair_solve)."""
+    A = np.broadcast_to(np.diag(spec.rho) - spec.generator.rates, (3, spec.states, spec.states))
 
     def make_rhs(r, mu, sigma):
-        q_rho = growth_rate(g, r, mu, sigma) - rho
-
-        def rhs(t, y):
-            return -(q_rho * y + rates @ y + (1 - g) * np.power(y, power))
-
-        return rhs
+        drive = (r + mu**2 / (2 * sigma**2))[:, None]
+        return lambda times, h: (A, (-1.0,) * 4 if h is None else np.log(h) - drive * h + 1.0)
 
     return make_rhs
 
 
-def _log_rhs_factory(spec: MarketSpec):
-    """Leg-wise right-hand side of the joint (h, l) system.
+def rhs_factory(spec: MarketSpec):
+    """Leg-wise right-hand side of the spec's coefficient system: g, or h then l.
 
     The l equation carries -log h(t,i) from substituting the log ansatz into
     the verification PDE (the running utility of consuming x/h contributes
-    log x - log h).
+    log x - log h). The log solve runs on _log_coefficients; this statement of
+    the (h, l) system serves the residual check.
     """
-    S = spec.states
-    rates = spec.generator.rates
-    rho = spec.rho
+    g, S, rates, rho = spec.gamma, spec.states, spec.generator.rates, spec.rho
+    power = g / (g - 1.0)
 
     def make_rhs(r, mu, sigma):
+        if not spec.prefs.is_log:
+            q_rho = growth_rate(g, r, mu, sigma) - rho
+            return lambda t, y: -(q_rho * y + rates @ y + (1 - g) * np.power(y, power))
         drive = r + mu**2 / (2 * sigma**2)
 
         def rhs(t, y):
             h, low = y[:S], y[S:]
             dh = -(-rho * h + rates @ h + 1.0)
-            dl = -(drive * h - np.log(h) - rho * low + rates @ low - 1.0)
-            return np.concatenate([dh, dl])
+            return np.concatenate([dh, -(drive * h - np.log(h) - rho * low + rates @ low - 1.0)])
 
         return rhs
 

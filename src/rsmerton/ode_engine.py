@@ -3,8 +3,9 @@
 The scheme is classical fixed-step fourth-order Runge-Kutta swept from the
 horizon down to 0, with step-halving error control: the sweep is repeated at
 twice the resolution until the two grids agree to tolerance. Fixed steps keep
-results bit-stable across runs and platforms; the systems solved here are
-small and non-stiff.
+results bit-stable across runs and platforms. On a linear system the scheme is
+one affine map per step, y(t - h) = M y(t) + v (Hairer, Norsett & Wanner,
+Solving ODEs I), which affine_rk4_solve builds for a block of steps at once.
 
 Domain errors (a stage input below the positivity floor or not finite, or a
 derivative not finite) are found once per block of steps by one vectorised
@@ -15,8 +16,7 @@ value, reason) a check of each stage in turn would raise.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -25,16 +25,18 @@ DEFAULT_STEPS = 2048
 DEFAULT_TOL = 1e-9
 MAX_STEPS = 2**20
 BLOCK_STEPS = 128  # steps whose stages rk4_solve checks with one test
+# Entries of one block's arrays (affine_rk4_solve's step maps, ctmc.cell_blocks'
+# (cells, paths) arrays): amortises per-block work, keeps temporaries small.
+BLOCK_ELEMENTS = 2**15
 
 
 class OdeDomainError(RuntimeError):
     """Raised when the state leaves the admissible domain during integration."""
 
-    def __init__(self, t: float, component: int, value: float, reason: str):
-        self.t = t
-        self.component = component
-        self.value = value
-        super().__init__(f"{reason} at t={t:.6g}, component {component} (value {value:.6g})")
+    def __init__(self, t: float, component: int, value: float, reason: str, note: str = ""):
+        self.t, self.component, self.value, self.reason = t, component, value, reason
+        msg = f"{reason} at t={t:.6g}, component {component} (value {value:.6g})"
+        super().__init__(msg + (f"; {note}" if note else ""))
 
 
 class OdeConvergenceError(RuntimeError):
@@ -47,9 +49,8 @@ class OdeSystem:
 
     rhs must be deterministic and side-effect free and return a float array.
     If positivity_floor is set, integration aborts once any component drops
-    below it (scalar floor or one per component). If rhs has a tabulate
-    attribute, tabulate(times) gives a row per time, once per block of steps,
-    and rhs takes a time's row in place of the time.
+    below it (scalar floor or one per component). affine_rk4_solve reads rhs
+    as the coefficients of a linear system instead (see there).
     """
 
     dimension: int
@@ -94,15 +95,12 @@ class SolutionTable:
         t = np.asarray(t, dtype=float)
         return interp_by_state(self.grid, self.values, t[..., None], np.arange(self.dimension))
 
-    def to_csv(self, header_meta: dict | None = None) -> str:
-        buf = io.StringIO()
-        if header_meta:
-            buf.write("# " + " ".join(f"{k}={v}" for k, v in header_meta.items()) + "\n")
-        buf.write("t," + ",".join(f"y{j}" for j in range(self.dimension)) + "\n")
-        for k in range(self.grid.size):
-            row = ",".join(f"{v:.12g}" for v in self.values[k])
-            buf.write(f"{self.grid[k]:.12g},{row}\n")
-        return buf.getvalue()
+    def to_csv(self, header_meta: dict | None = None, column: str = "y") -> str:
+        lines = ["# " + " ".join(f"{k}={v}" for k, v in header_meta.items())] if header_meta else []
+        lines.append("t," + ",".join(f"{column}{j}" for j in range(self.dimension)))
+        for t, row in zip(self.grid, self.values):
+            lines.append(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row))
+        return "\n".join(lines) + "\n"
 
 
 def _check_domain(t: float, v: np.ndarray, what: str, floor=None):
@@ -114,13 +112,12 @@ def _check_domain(t: float, v: np.ndarray, what: str, floor=None):
         raise OdeDomainError(t, j, float(v[j]), f"non-finite {what}")
 
 
-def _check_block(system: OdeSystem, stages: list, times: np.ndarray):
-    """Check stage inputs and derivatives (alternating, in sweep order) with one test.
+def _check_block(system: OdeSystem, block: np.ndarray, times: np.ndarray):
+    """Check (stage input, derivative) pairs, shape (-1, 2, dimension), in sweep order, at once.
 
     On a failure the stages are rechecked in turn, input before derivative,
     and the first failing one raises; times is the block's (3, m) stage times.
     """
-    block = np.concatenate(stages).reshape(-1, 2, system.dimension)
     floor = system.positivity_floor
     if np.isfinite(block).all() and (floor is None or (block[:, 0] >= floor).all()):
         return
@@ -129,13 +126,28 @@ def _check_block(system: OdeSystem, stages: list, times: np.ndarray):
         _check_domain(t, d, "derivative")
 
 
+def _rk4_step(A, f, y, h):
+    """RK4 step back from column stack y on y' = A y + f: ([y, k1, ..., y4, k4], next y).
+
+    A is at the stage times t, t - h/2, t - h, f at the four stages.
+    """
+    (A1, A2, A4), (f1, f2, f3, f4) = A, f
+    k1 = A1 @ y + f1
+    y2 = y - (h / 2) * k1
+    k2 = A2 @ y2 + f2
+    y3 = y - (h / 2) * k2
+    k3 = A2 @ y3 + f3
+    y4 = y - h * k3
+    k4 = A4 @ y4 + f4
+    return [y, k1, y2, k2, y3, k3, y4, k4], y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
     """One fixed-step RK4 sweep from the terminal condition down to t=0.
 
     Low level: no error control. The terminal node is stored exactly. The
-    sweep runs in blocks of BLOCK_STEPS steps: a tabulating rhs tabulates the
-    block's stage times, and the block's stage inputs and derivatives are
-    checked at its end, the state at t_start last (see the module docstring).
+    block's stage inputs and derivatives are checked at the end of each block
+    of BLOCK_STEPS steps, the state at t_start last (see the module docstring).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -144,12 +156,12 @@ def rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
     out = np.empty((n_steps + 1, system.dimension))
     y = system.terminal_values.copy()
     out[n_steps] = y
-    rhs, tabulate = system.rhs, getattr(system.rhs, "tabulate", None)
+    rhs = system.rhs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(((n_steps - 1) // BLOCK_STEPS) * BLOCK_STEPS, -1, -BLOCK_STEPS):
             # column i: the stage times of the step ts[lo + i + 1] -> ts[lo + i]
             block = np.stack([ts[lo + 1 : lo + 1 + BLOCK_STEPS] - d for d in (0.0, h / 2, h)])
-            a1, a2, a4 = block if tabulate is None else tabulate(block)
+            a1, a2, a4 = block
             stages = []
             for i in range(block.shape[1] - 1, -1, -1):
                 k1 = rhs(a1[i], y)
@@ -162,9 +174,57 @@ def rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
                 stages += (y, k1, y2, k2, y3, k3, y4, k4)
                 y = y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
                 out[lo + i] = y
-            _check_block(system, stages, block)
+            _check_block(system, np.concatenate(stages).reshape(-1, 2, system.dimension), block)
     _check_domain(system.t_start, y, "state", system.positivity_floor)
     return SolutionTable(grid=ts, values=out)
+
+
+def affine_rk4_solve(system: OdeSystem, n_steps: int, lead=None) -> SolutionTable:
+    """rk4_solve's sweep of a linear system y' = A y + f, one affine map per step.
+
+    system.rhs(times, None) gives A and f at a block's (3, m) stage times t,
+    t - h/2, t - h: A broadcasting to (3, m, d, d), f to (4, m, d, 1), one
+    column per stage. A lead table on the grid solves that system, and y's
+    coefficients are rhs(times, the lead's stage inputs). Blocks of steps are
+    checked as rk4_solve checks its own.
+    """
+    d, h = system.dimension, (system.horizon - system.t_start) / n_steps
+    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
+    out = np.empty((n_steps + 1, d))
+    out[n_steps] = y = system.terminal_values
+    width = max(1, BLOCK_ELEMENTS // (d * max(d, 8)))  # entries of a step's matrix or stages
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(((n_steps - 1) // width) * width, -1, -width):
+            hi = min(lo + width, n_steps)
+            times = np.stack([ts[lo + 1 : hi + 1] - s for s in (0.0, h / 2, h)])
+            A, f = system.rhs(times, None)
+            if lead is not None:
+                stages = _rk4_step(A, f, lead.values[lo + 1 : hi + 1, :, None], h)[0]
+                A, f = system.rhs(times, np.stack(np.broadcast_arrays(*stages[::2])))
+            M = np.broadcast_to(_rk4_step(A, (0.0,) * 4, np.eye(d), h)[1], (hi - lo, d, d))
+            v = np.broadcast_to(_rk4_step(A, f, np.zeros((d, 1)), h)[1][..., 0], (hi - lo, d))
+            for i in range(hi - lo - 1, -1, -1):
+                y = M[i].dot(y) + v[i]
+                out[lo + i] = y
+            if system.positivity_floor is not None or not np.isfinite(out[lo : hi + 1]).all():
+                stages = _rk4_step(A, f, out[lo + 1 : hi + 1, :, None], h)[0]
+                block = np.stack(np.broadcast_arrays(*stages), axis=1)[::-1]
+                _check_block(system, block.reshape(-1, 2, d), times)
+    _check_domain(system.t_start, y, "state", system.positivity_floor)
+    return SolutionTable(grid=ts, values=out)
+
+
+def affine_pair_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
+    """Sweep the first half of the state (the log branch's h), then the rest fed by it."""
+    S, tv, floor = system.dimension // 2, system.terminal_values, system.positivity_floor
+    lead = affine_rk4_solve(replace(system, dimension=S, terminal_values=tv[:S],
+                                    positivity_floor=None if floor is None else floor[:S]), n_steps)
+    try:
+        rest = affine_rk4_solve(replace(system, dimension=S, terminal_values=tv[S:],
+                                        positivity_floor=None), n_steps, lead)
+    except OdeDomainError as e:
+        raise OdeDomainError(e.t, S + e.component, e.value, e.reason) from None
+    return SolutionTable(grid=lead.grid, values=np.hstack([lead.values, rest.values]))
 
 
 def solve_terminal_ode(
@@ -179,11 +239,16 @@ def solve_terminal_ode(
     agree within tol at the shared nodes; otherwise the step count doubles,
     up to max_steps.
     """
+    return step_halving(lambda n: rk4_solve(system, n), n_steps, tol, max_steps)
+
+
+def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int = MAX_STEPS):
+    """solve_terminal_ode's error control around sweep(n_steps) -> SolutionTable."""
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
-    coarse = rk4_solve(system, n_steps)
+    coarse = sweep(n_steps)
     while True:
-        fine = rk4_solve(system, 2 * n_steps)
+        fine = sweep(2 * n_steps)
         err = float(np.abs(fine.values[::2] - coarse.values).max())
         if err <= tol:
             return fine
@@ -204,15 +269,9 @@ def residual_norm(system: OdeSystem, table: SolutionTable) -> float:
     ts, vs = table.grid, table.values
     if ts.size < 3:
         raise ValueError("residual_norm needs at least 3 grid points")
-    tabulate = getattr(system.rhs, "tabulate", None)
-    args = ts if tabulate is None else tabulate(ts)
-    scale = np.maximum(1.0, np.abs(vs).max(axis=0))
-    worst = 0.0
-    for k in range(1, ts.size - 1):
-        fd = (vs[k + 1] - vs[k - 1]) / (ts[k + 1] - ts[k - 1])
-        res = np.abs(fd - np.asarray(system.rhs(args[k], vs[k]), dtype=float)) / scale
-        worst = max(worst, float(res.max()))
-    return worst
+    fd = (vs[2:] - vs[:-2]) / (ts[2:] - ts[:-2])[:, None]
+    rhs = np.array([system.rhs(t, v) for t, v in zip(ts[1:-1], vs[1:-1])], dtype=float)
+    return float((np.abs(fd - rhs) / np.maximum(1.0, np.abs(vs).max(axis=0))).max())
 
 
 def interp_by_state(grid: np.ndarray, table: np.ndarray, t: np.ndarray, state: np.ndarray):

@@ -8,9 +8,9 @@ constant-state segment, which keeps wealth strictly positive.
 The expected-utility functional discounts the whole remaining horizon at the
 rate rho_i of the state occupied at the evaluation time, even after the chain
 moves. Its deterministic counterpart is the frozen-discount Feynman-Kac
-table: one coupled linear ODE solve per frozen rate, read at the matching
-row. The slope certificate perturbs a strategy on a shrinking window
-[t, t + eps], prices both strategies with that oracle, and Richardson
+table: one affine RK4 sweep of a coupled linear system per frozen rate, read
+at the matching row. The slope certificate perturbs a strategy on a shrinking
+window [t, t + eps], prices both strategies with that oracle, and Richardson
 extrapolates the first-order utility deficit to eps -> 0.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from rsmerton.core_model import MarketSpec, Preferences, utility, validate_spec
 from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.equilibrium import EquilibriumSolution, solve, solve_market_ode
-from rsmerton.ode_engine import SolutionTable, interp_by_state
+from rsmerton.ode_engine import SolutionTable, affine_pair_solve, affine_rk4_solve, interp_by_state
 from rsmerton.reporting import MCReport
 
 DEFAULT_PATH_GRID = 2048
@@ -281,34 +281,31 @@ class FrozenValueTable:
         return self.prefs.value(self.table.interpolate(t), x, row)
 
 
-def _fk_rhs_factory(strategy: ProportionalStrategy, frozen_rho: float, spec: MarketSpec):
-    """Leg-wise right-hand side of the frozen-discount value system; terms in t alone are tabulated."""
-    S = spec.states
-    rates = spec.generator.rates
-    gamma = spec.gamma
-    is_log = spec.prefs.is_log
+def _fk_solve(strategy, frozen_rho, spec, terminal, n_steps, t_start=0.0, horizon=None):
+    """The frozen-discount value system (see feynman_kac_value), one affine sweep per leg."""
+    S, rates, gamma, eye = spec.states, spec.generator.rates, spec.gamma, np.eye(spec.states)
+    A_log = np.broadcast_to(frozen_rho * eye - rates, (3, S, S))
+    stage = [0, 1, 1, 2]  # the stage-time row of each RK4 stage
 
     def make_rhs(r, mu, sigma):
-        def tabulate(times):
+        def coefficients(times, lead):  # h's, then l's fed by h on the log branch
+            if spec.prefs.is_log and lead is None:
+                return A_log, (-1.0,) * 4
             a, b = strategy.values_at(times)
-            if is_log:
-                rows = [r + mu * a - b - 0.5 * sigma**2 * a**2, np.log(b)]
-            else:
-                coef = gamma * (r + mu * a - b) + 0.5 * gamma * (gamma - 1.0) * sigma**2 * a**2
-                rows = [coef - frozen_rho, np.power(b, gamma)]
-            return np.stack(rows, axis=-2)
+            if spec.prefs.is_log:
+                drift = (r + mu * a - b - 0.5 * sigma**2 * a**2)[stage, ..., None]
+                return A_log, -(drift * lead + np.log(b)[stage, ..., None])
+            coef = gamma * (r + mu * a - b) + 0.5 * gamma * (gamma - 1.0) * sigma**2 * a**2
+            A = (frozen_rho - coef)[..., None] * eye
+            A -= rates
+            return A, -np.power(b, gamma)[stage, ..., None]
 
-        def rhs(c, y):
-            if not is_log:
-                return -(c[0] * y + rates @ y + c[1])
-            h, low = y[:S], y[S:]
-            dh = -(1.0 - frozen_rho * h + rates @ h)
-            return np.concatenate([dh, -(c[0] * h + c[1] - frozen_rho * low + rates @ low)])
+        return coefficients
 
-        rhs.tabulate = tabulate
-        return rhs
-
-    return make_rhs
+    return solve_market_ode(
+        make_rhs, spec, terminal, n_steps, tol=None, t_start=t_start, horizon=horizon,
+        sweep=affine_pair_solve if spec.prefs.is_log else affine_rk4_solve,
+    )
 
 
 def feynman_kac_value(
@@ -325,10 +322,7 @@ def feynman_kac_value(
     """
     validate_spec(spec)
     _utility_domain_check(strategy, spec)
-    table = solve_market_ode(
-        _fk_rhs_factory(strategy, frozen_rho, spec), spec,
-        spec.prefs.terminal(spec.states), n_steps, tol=None,
-    )
+    table = _fk_solve(strategy, frozen_rho, spec, spec.prefs.terminal(spec.states), n_steps)
     return FrozenValueTable(frozen_rho=frozen_rho, prefs=spec.prefs, table=table)
 
 
@@ -372,25 +366,15 @@ class SlopeOracle:
     def _boundary(self, i: int, t_hi: float) -> np.ndarray:
         key = (i, t_hi)
         if key not in self._tails:
-            if t_hi >= self.spec.horizon:
-                self._tails[key] = self._terminal
-            else:
-                table = solve_market_ode(
-                    _fk_rhs_factory(self.base, float(self.spec.rho[i]), self.spec),
-                    self.spec, self._terminal, self.n_steps_tail,
-                    tol=None, t_start=t_hi,
-                )
-                self._tails[key] = table.values[0]
+            self._tails[key] = self._terminal if t_hi >= self.spec.horizon else _fk_solve(
+                self.base, float(self.spec.rho[i]), self.spec, self._terminal,
+                self.n_steps_tail, t_start=t_hi).values[0]
         return self._tails[key]
 
     def _window_f0(self, strategy, t: float, i: int, eps: float) -> np.ndarray:
         boundary = self._boundary(i, t + eps)
-        table = solve_market_ode(
-            _fk_rhs_factory(strategy, float(self.spec.rho[i]), self.spec),
-            self.spec, boundary, self.n_steps_window,
-            tol=None, t_start=t, horizon=t + eps,
-        )
-        return table.values[0]
+        return _fk_solve(strategy, float(self.spec.rho[i]), self.spec, boundary,
+                         self.n_steps_window, t_start=t, horizon=t + eps).values[0]
 
     def slope(
         self,

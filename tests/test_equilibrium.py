@@ -4,6 +4,7 @@ import pytest
 from rsmerton.core_model import Preferences, utility
 from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import (
+    G_POSITIVITY_FLOOR,
     merton_closed_form,
     merton_eta,
     picard_apply,
@@ -11,11 +12,13 @@ from rsmerton.equilibrium import (
     solve,
     solve_g,
     solve_log,
+    solve_market_ode,
     value_at,
 )
-from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
+from rsmerton.ode_engine import OdeDomainError, OdeSystem, SolutionTable, residual_norm
 from rsmerton.simulate import ProportionalStrategy
 from tests.conftest import make_spec
+from tests.test_ode_engine import per_stage_rk4
 
 
 def closed_form_rate(spec, t):
@@ -24,6 +27,44 @@ def closed_form_rate(spec, t):
     mu, sigma, r, rho = spec.mu[0], spec.sigma[0], spec.r[0], spec.rho[0]
     eta = (rho - g * (mu**2 / (2 * sigma**2 * (1 - g)) + r)) / (1 - g)
     return eta / (1 + (eta - 1) * np.exp(eta * (np.asarray(t) - spec.horizon)))
+
+
+def per_stage_reference(spec, n_steps=2048):
+    """solve's legs and step halving with per-stage RK4 on rhs_factory's system."""
+    terminal = spec.prefs.terminal(spec.states)
+    floor = np.full(terminal.size, -np.inf)
+    floor[: spec.states] = G_POSITIVITY_FLOOR
+    return solve_market_ode(rhs_factory(spec), spec, terminal, n_steps, 1e-9,
+                            positivity_floor=floor, sweep=per_stage_rk4)
+
+
+class TestStiffGenerator:
+    """A 6,000/yr generator puts h * rho(generator) at 5.86 for 2,048 steps, beyond RK4's 2.785."""
+
+    NOTE = ("; step 0.000488281 times the generator's spectral radius 12000 is 5.86, beyond "
+            "explicit RK4's stability limit 2.785: use at least 4309 steps")
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_domain_failure_names_the_stability_limit(self, gamma):
+        spec = make_spec(gamma=gamma, generator=[[-6000.0, 6000.0], [6000.0, -6000.0]])
+        with pytest.raises(OdeDomainError) as got:
+            solve(spec)
+        e = got.value
+        with pytest.raises(OdeDomainError) as ref:
+            per_stage_reference(spec)
+        assert (type(e), e.reason, e.t, e.component) == (
+            OdeDomainError, "state fell below positivity floor", 1.0 - 3.5 / 2048, 0)
+        assert (ref.value.reason, ref.value.t, ref.value.component) == (e.reason, e.t, e.component)
+        assert e.value == pytest.approx(ref.value.value, rel=1e-9)
+        assert str(e) == (f"state fell below positivity floor at t=0.998291, component 0 "
+                          f"(value {e.value:.6g})" + self.NOTE)
+
+    def test_no_note_within_the_stability_limit(self):
+        spec = make_spec(gamma=-1.0)  # h * rho(generator) = 0.0083 at 2,048 steps
+        with pytest.raises(OdeDomainError) as got:
+            solve_market_ode(lambda r, mu, sigma: lambda t, y: np.full(2, np.nan), spec,
+                             np.ones(2), 2048, None)
+        assert str(got.value) == "non-finite derivative at t=1, component 0 (value nan)"
 
 
 class TestSolveG:
@@ -108,6 +149,15 @@ class TestSolveLog:
     def test_rejects_power_branch(self):
         with pytest.raises(ValueError, match="log branch"):
             solve_log(make_spec(gamma=0.5))
+
+    def test_affine_sweeps_match_per_stage_rk4_of_the_joint_system(self):
+        # Same legs, step counts and step-halving rule; rhs_factory states
+        # the joint (h, l) system independently of the solve's coefficients.
+        spec = make_spec(gamma=0.0)
+        sol = solve_log(spec)
+        ref = per_stage_reference(spec)
+        assert sol.table.grid.size - 1 == ref.grid.size - 1 == 4096
+        assert np.abs(sol.table.values - ref.values).max() <= 1e-12
 
     def test_dispatch(self):
         assert solve(make_spec(gamma=0.0)).table.dimension == 4  # h then l

@@ -5,6 +5,15 @@ once on `Preferences`, and must be reproduced exactly: that change moves
 where each branch's terminal row, value map and consumption map live, not
 what they compute. A pin may only ever be tightened, never loosened.
 
+One solver change is sanctioned: solver version rk4-2 solves the linear
+systems (the frozen-discount Feynman-Kac system, slope windows and tails, the
+log branch's h and l) as one affine map per RK4 step. It is the same scheme
+on the same grids, with floating-point operations in another order, so these
+pins moved: every fig1 CSV through its metadata line and the gamma = 0 one
+also by at most 1.0e-12, the gamma = 0 solve (5.5e-14), both Feynman-Kac
+tables (6.4e-15 at gamma = -1, 4.0e-14 at gamma = 0) and the slope row
+(1.3e-13). The g-system's pins, SOLVE[-1.0] and G_TABLE, did not move.
+
 The tables are read through the public maps (the consumption curve, the
 value ansatz and the frozen-discount value), which reach every coefficient:
 at x = 1 the log branch's value is its intercept l, and the consumption
@@ -41,10 +50,10 @@ def _solved(gamma):
 
 
 FIG1_CSV = {
-    "0.7": "6517fe5524ffbd03dd6cd16ec4169e57619f8730855ad228b6942cc41530ee93",
-    "0": "bd92eec1efbfda190e0a0232cde3bfd88e3c8ac4bb1304dfa825364ee5ecff97",
-    "-0.5": "e293bbd9e622ca722d4591293fee063c05e3588dd709797c83876672e2cb1403",
-    "-1": "d6a1cf3f53cc95537a95eb218dfcf8c9b0a64622b268d0b81b3f1cd9cd018d1c",
+    "0.7": "cf54e0e523fe040c766b11071775edcba433f42e5dacf1fc4ba86385d874f4cf",
+    "0": "18b00f8b2d89b07a368c086407b88606fb740ffbe427b7819adab782c67795a1",
+    "-0.5": "917019d93743756ea2e2ba6fbb91f55906bbbf670fca1e91d3a7b78616ca5914",
+    "-1": "066dffe1f918aca8af1c7265004410bd9fc13f0a81fbba2b9ec7f0222524fc3c",
 }
 
 
@@ -60,7 +69,7 @@ SOLVE = {
     # gamma: sha256 of the grid, the consumption curve and the value ansatz
     # at every node, each wealth and each state
     -1.0: "ac29bec34bf163f29534bc7115d3877248dfaa5189a5fec0918aeeeeeb8964f5",
-    0.0: "912ed554c5f56085670545154ff7e55a47a8956c0ce4825ee9a622abcfab5a34",
+    0.0: "d41093ab603053306c7e3936f61fba0fa3daca6c92cc708a3d897641a018447e",
 }
 G_TABLE = "d65d8132b4ba043dd13a5d078ee27a687cb929a412170f6de3412406a31232c9"
 
@@ -86,8 +95,8 @@ def test_g_table_is_pinned():
 FEYNMAN_KAC = {
     # gamma: sha256 of the frozen-discount value (rho_0) of the solved policy
     # at every node of its 2048-step grid, each wealth and each state
-    -1.0: "40f1b85039c9ec35d441c3bdfc5e7ff1e33c84092a4f9f775958cd964f8a8f73",
-    0.0: "ead3983cac1dcf0b038597dfc1cc656115187ab339b5e768c634afccff64c570",
+    -1.0: "8d663e90f0fa58c2ed5f8f4c1d469530449e08e8e2d9d62542faf03028918c74",
+    0.0: "efce2e22858d8557340f0705a0617079ca9e02ebc565feaf7a81744feb5d8244",
 }
 
 
@@ -102,7 +111,7 @@ def test_feynman_kac_tables_are_pinned(gamma):
 
 # The six perturbations at (t, x, state) = (0.3, 1.7, 1), gamma = -1, on
 # coarse tail and window grids so the row stays fast.
-SLOPE_ROW = "169ca2bb9a69238a4cb4d8f8eafd779de1a7f6e813488c7c3a0f110295b6d809"
+SLOPE_ROW = "fae74c881cbbdb1021fd3cb030faf906db1ad1e30a79ba27771c21c171d59f34"
 
 
 def test_slope_row_is_pinned():

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from rsmerton.ode_engine import (
+    BLOCK_ELEMENTS,
     BLOCK_STEPS,
     OdeConvergenceError,
     OdeDomainError,
     OdeSystem,
     SolutionTable,
+    affine_pair_solve,
+    affine_rk4_solve,
     interp_by_state,
     residual_norm,
     rk4_solve,
@@ -84,19 +89,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="at least 16"):
             solve_terminal_ode(scalar_discount_system(), n_steps=8)
 
-    def test_tabulated_rhs_takes_its_rows(self):
-        # y' = t y - 1, once with t read per stage and once tabulated per block
-        def tabulated(c, y):
-            return c * y - 1.0
-
-        tabulated.tabulate = lambda times: times[..., None]
-        plain = OdeSystem(1, lambda t, y: t * y - 1.0, np.array([1.0]), 1.0)
-        tab = OdeSystem(1, tabulated, np.array([1.0]), 1.0)
-        n = 2 * BLOCK_STEPS + 44
-        a, b = rk4_solve(plain, n), rk4_solve(tab, n)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert residual_norm(tab, a) == residual_norm(plain, a)
-
     def test_sub_interval_domain(self):
         sys_ = OdeSystem(
             dimension=1,
@@ -138,8 +130,12 @@ class TestDomainGuards:
             solve_terminal_ode(scalar_discount_system(), n_steps=16, tol=0.0, max_steps=64)
 
 
-def per_stage_error(system, n_steps):
-    """The OdeDomainError of an RK4 sweep that checks each stage's input and derivative in turn."""
+def per_stage_rk4(system, n_steps):
+    """Reference RK4 sweep: rhs per stage, each stage's input and derivative checked in turn.
+
+    Raises the OdeDomainError of the first failing stage; otherwise returns
+    the table, terminal node stored exactly.
+    """
     h = (system.horizon - system.t_start) / n_steps
     ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
 
@@ -157,17 +153,24 @@ def per_stage_error(system, n_steps):
         check(t, d, "derivative", None)
         return d
 
-    y = system.terminal_values.copy()
+    out = np.empty((n_steps + 1, system.dimension))
+    out[n_steps] = y = system.terminal_values.copy()
+    with np.errstate(all="ignore"):
+        for k in range(n_steps, 0, -1):
+            t = ts[k]
+            k1 = f(t, y)
+            k2 = f(t - h / 2, y - (h / 2) * k1)
+            k3 = f(t - h / 2, y - (h / 2) * k2)
+            k4 = f(t - h, y - h * k3)
+            out[k - 1] = y = y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    check(system.t_start, y, "state", system.positivity_floor)
+    return SolutionTable(grid=ts, values=out)
+
+
+def per_stage_error(system, n_steps):
+    """The OdeDomainError of an RK4 sweep that checks each stage's input and derivative in turn."""
     try:
-        with np.errstate(all="ignore"):
-            for k in range(n_steps, 0, -1):
-                t = ts[k]
-                k1 = f(t, y)
-                k2 = f(t - h / 2, y - (h / 2) * k1)
-                k3 = f(t - h / 2, y - (h / 2) * k2)
-                k4 = f(t - h, y - h * k3)
-                y = y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        check(system.t_start, y, "state", system.positivity_floor)
+        per_stage_rk4(system, n_steps)
     except OdeDomainError as e:
         return e
     return None
@@ -237,6 +240,102 @@ class TestBlockCheck:
         # Only k4 of the last step kicks, so only the state at t = 0 is below the floor
         sys_ = self.kicked(0.0, lambda y: np.array([0.0, 0.6 / (self.H / 6)]))
         self.assert_same_error(sys_, "state fell below positivity floor", 0.0)
+
+
+def linear_pair(d, seed=5, kick=None):
+    """A time-dependent linear system of dimension d and a linear follower fed by log of its state.
+
+    lead: y' = A(t) y + f(t), follower: z' = B z + C(t) y + log y. Returns the
+    affine coefficients (rhs(times, lead stages) as affine_rk4_solve reads it)
+    and, for the per-stage reference, the right-hand sides of the lead and of
+    the joint 2d system. kick(t) adds to the lead's forcing, to drive it
+    through a floor.
+    """
+    g = np.random.default_rng(seed)
+    A0 = -np.eye(d) - 0.3 * g.exponential(1.0, (d, d)) / d  # -A0 is Metzler: y stays positive
+    B = -0.5 * np.eye(d) + 0.2 * g.standard_normal((d, d)) / np.sqrt(d)
+    f0, c0 = g.uniform(0.5, 1.5, (2, d))
+    kick = kick or (lambda t: 0.0)
+
+    def A(t):
+        return np.multiply.outer(1.0 + 0.5 * np.sin(3 * t), A0)
+
+    def forcing(t):  # negative, so the lead grows backward from y(1) = 1
+        return np.multiply.outer(kick(t) - 1.0 - t, np.ones(d)) * f0
+
+    def coefficients(times, lead):
+        stage = [0, 1, 1, 2]
+        if lead is None:
+            return A(times), forcing(times)[stage, ..., None]
+        c = np.multiply.outer(np.cos(times), c0)[stage, ..., None]
+        return np.broadcast_to(B, (3, d, d)), c * lead + np.log(lead)
+
+    def lead_rhs(t, y):
+        return A(t) @ y + forcing(t)
+
+    def joint(t, yz):
+        y, z = yz[:d], yz[d:]
+        return np.concatenate([lead_rhs(t, y), B @ z + np.cos(t) * c0 * y + np.log(y)])
+
+    return coefficients, lead_rhs, joint
+
+
+class TestAffineSweep:
+    """affine_rk4_solve and affine_pair_solve against the per-stage RK4 sweep of the same system."""
+
+    def lead_system(self, d, coefficients, **kw):
+        return OdeSystem(d, lambda times, lead: coefficients(times, None), np.ones(d), 1.0, **kw)
+
+    @pytest.mark.parametrize("d, n", [(2, 2 * (BLOCK_ELEMENTS // 16) + 5),
+                                      (32, 3 * (BLOCK_ELEMENTS // 32**2) + 5)])
+    def test_time_dependent_system_matches_per_stage_sweep(self, d, n):
+        # blocks of 2048 (d = 2) and 32 (d = 32) steps, the one at the horizon holding the last 5
+        coefficients, lead_rhs, _ = linear_pair(d)
+        system = self.lead_system(d, coefficients, t_start=0.25)
+        ref = per_stage_rk4(replace(system, rhs=lead_rhs), n)
+        got = affine_rk4_solve(system, n)
+        np.testing.assert_array_equal(got.grid, ref.grid)
+        assert got.values[-1].tolist() == [1.0] * d
+        assert np.abs(got.values - ref.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("d, n", [(2, 200), (32, 70)])
+    def test_pair_matches_per_stage_sweep_of_the_joint_system(self, d, n):
+        coefficients, _, joint = linear_pair(d)
+        terminal = np.concatenate([np.ones(d), np.zeros(d)])
+        system = OdeSystem(2 * d, coefficients, terminal, 1.0)
+        ref = per_stage_rk4(replace(system, rhs=joint), n)
+        got = affine_pair_solve(system, n)
+        assert np.abs(got.values - ref.values).max() <= 1e-12
+
+    def test_pair_floor_failure_is_the_per_stage_one(self):
+        # The lead's forcing jumps near t = 0.6 and drives it below the floor;
+        # the follower's log h fails there too, but the state is checked first.
+        coefficients, _, joint = linear_pair(2, kick=lambda t: 400.0 * (np.abs(t - 0.6) < 0.01))
+        floor = np.array([1e-12, 1e-12, -np.inf, -np.inf])
+        system = OdeSystem(4, coefficients, np.array([1.0, 1.0, 0.0, 0.0]), 1.0,
+                           positivity_floor=floor)
+        ref = per_stage_error(replace(system, rhs=joint), 256)
+        with pytest.raises(OdeDomainError) as got:
+            affine_pair_solve(system, 256)
+        e = got.value
+        assert ref is not None and str(ref).startswith("state fell below positivity floor")
+        assert (e.reason, e.t, e.component) == (ref.reason, ref.t, ref.component)
+        assert e.value == pytest.approx(ref.value, rel=1e-9)
+
+    def test_non_finite_follower_names_its_component_in_the_whole_state(self):
+        coefficients, _, _ = linear_pair(2)
+
+        def broken(times, lead):
+            A, f = coefficients(times, lead)
+            return (A, f) if lead is None else (A, np.where(times[[0, 1, 1, 2], :, None, None]
+                                                            < 0.3, np.nan, f))
+
+        system = OdeSystem(4, broken, np.array([1.0, 1.0, 0.0, 0.0]), 1.0)
+        with pytest.raises(OdeDomainError) as got:
+            affine_pair_solve(system, 64)
+        assert got.value.reason == "non-finite derivative"
+        assert got.value.component == 2
+        assert got.value.t < 0.3
 
 
 class TestResidual:

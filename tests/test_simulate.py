@@ -1,19 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rsmerton.cli import benchmark_spec
 from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, sample_skeletons
-from rsmerton.equilibrium import merton_closed_form, solve_g, solve_log
+from rsmerton.equilibrium import merton_closed_form, solve, solve_g, solve_log, solve_market_ode
 from rsmerton.ode_engine import OdeSystem, rk4_solve
 from rsmerton.simulate import (
     ProportionalStrategy,
     SlopeOracle,
+    _fk_solve,
     estimate_J,
     feynman_kac_value,
     perturbation_menu,
     sample_terminal_wealth,
 )
 from tests.conftest import make_spec
+from tests.test_coefficient_overrides import two_phase_override
+from tests.test_golden_mc import regime_market
+from tests.test_ode_engine import per_stage_rk4
 
 FROZEN_CHAIN = [[0.0, 0.0], [0.0, 0.0]]
 
@@ -281,6 +288,67 @@ class TestFeynmanKac:
         strat = ProportionalStrategy.from_constants(0.5, 0.0, 1.0, n_states=2)
         with pytest.raises(ValueError, match="diverges"):
             feynman_kac_value(strat, 0.9, bench_spec)
+
+
+def per_stage_fk_rhs(strategy, frozen_rho, spec):
+    """Leg-wise right-hand side of the frozen-discount value system, the strategy read per stage."""
+    S, rates, gamma = spec.states, spec.generator.rates, spec.gamma
+
+    def make_rhs(r, mu, sigma):
+        def rhs(t, y):
+            a, b = strategy.values_at(t)
+            if spec.prefs.is_log:
+                h, low = y[:S], y[S:]
+                dh = -(1.0 - frozen_rho * h + rates @ h)
+                drift = r + mu * a - b - 0.5 * sigma**2 * a**2
+                return np.concatenate([dh, -(drift * h + np.log(b) - frozen_rho * low + rates @ low)])
+            coef = gamma * (r + mu * a - b) + 0.5 * gamma * (gamma - 1.0) * sigma**2 * a**2
+            return -((coef - frozen_rho) * y + rates @ y + np.power(b, gamma))
+
+        return rhs
+
+    return make_rhs
+
+
+class TestAffineFeynmanKac:
+    """The affine sweep of the frozen-discount system against per-stage RK4 on the same legs."""
+
+    @staticmethod
+    def policy(spec):
+        return ProportionalStrategy.from_policy(solve(spec, n_steps=64, tol=1e-4))
+
+    def assert_matches_per_stage(self, strategy, spec, terminal, n_steps, **window):
+        rho = float(spec.rho[0])
+        got = _fk_solve(strategy, rho, spec, terminal, n_steps, **window)
+        ref = solve_market_ode(per_stage_fk_rhs(strategy, rho, spec), spec, terminal, n_steps,
+                               tol=None, sweep=per_stage_rk4, **window)
+        np.testing.assert_array_equal(got.grid, ref.grid)
+        assert np.abs(got.values - ref.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_benchmark_both_branches(self, gamma):
+        spec = benchmark_spec(gamma)
+        self.assert_matches_per_stage(self.policy(spec), spec, spec.prefs.terminal(2), 2048)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_two_leg_override_market(self, gamma):
+        spec = replace(benchmark_spec(gamma), override=two_phase_override())
+        self.assert_matches_per_stage(self.policy(spec), spec, spec.prefs.terminal(2), 512)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_window_across_a_breakpoint(self, gamma):
+        spec = replace(benchmark_spec(gamma), override=two_phase_override())
+        terminal = spec.prefs.terminal(2)
+        boundary = terminal + 0.1 * np.arange(1, terminal.size + 1)
+        perturbed = self.policy(spec).scaled(invest=2.0, consume=0.5)
+        self.assert_matches_per_stage(perturbed, spec, boundary, 64, t_start=0.45, horizon=0.55)
+
+    def test_32_regimes_with_a_partial_block(self):
+        spec = regime_market(20260811, 20.0)
+        strategy = ProportionalStrategy.from_constants(
+            np.linspace(0.5, 1.5, 32), np.linspace(0.8, 1.6, 32), 1.0, n_states=32)
+        # blocks of 32 steps, the one at the horizon holding the last 4
+        self.assert_matches_per_stage(strategy, spec, np.ones(32), 100)
 
 
 class TestEquilibriumSlope:
