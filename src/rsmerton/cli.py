@@ -33,7 +33,7 @@ from rsmerton.core_model import (
 )
 from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import picard_apply, rhs_factory, solve, value_at
-from rsmerton.ode_engine import OdeSystem, residual_norm
+from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
 from rsmerton.simulate import (
     ProportionalStrategy,
     SlopeOracle,
@@ -266,9 +266,20 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _validate_solution(spec, solution, curve) -> dict:
-    rhs = rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
-    terminal = spec.prefs.terminal(spec.states)
-    res = residual_norm(OdeSystem(terminal.size, rhs, terminal, spec.horizon), solution.table)
+    """Residual, terminal and ordering checks; the residual is the worst coefficient leg's.
+
+    Each leg is checked on its own nodes (a breakpoint is in both) with its own coefficients.
+    """
+    make_rhs, terminal = rhs_factory(spec), spec.prefs.terminal(spec.states)
+    cuts, r, mu, sigma = spec.coefficients_on([0.0, spec.horizon])
+    grid, values = solution.table.grid, solution.table.values
+    legs = []
+    for k in range(cuts.size - 1):
+        on = (grid >= cuts[k]) & (grid <= cuts[k + 1])
+        system = OdeSystem(terminal.size, make_rhs(r[k], mu[k], sigma[k]), terminal,
+                           cuts[k + 1], t_start=cuts[k])
+        legs.append(residual_norm(system, SolutionTable(grid[on], values[on])))
+    res = float(np.max(legs))  # a NaN leg stays NaN and fails the gate
     checks = _consumption_checks(curve.grid, curve.rates, spec.rho)
     passed = (
         res <= 1e-5
@@ -279,10 +290,8 @@ def _validate_solution(spec, solution, curve) -> dict:
 
 
 def _fixed_point_check(spec, solution, config) -> dict:
-    est = picard_apply(
-        spec, solution.g_table, config.paths, RngSpec(seed=config.seed, stream=11)
-    )
-    dev = est.deviation_from(solution.g_table)
+    est = picard_apply(spec, solution.table, config.paths, RngSpec(seed=config.seed, stream=11))
+    dev = est.deviation_from(solution.table)
     tol = np.maximum(3.0 * est.stderr, 2e-3)
     return {
         "max_deviation": float(dev.max()),

@@ -161,13 +161,11 @@ def solve_log(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> Equil
 
 
 def _solve_branch(spec, n_steps, tol) -> EquilibriumSolution:
-    """The one solve behind solve_g and solve_log; the first S columns stay positive."""
+    """The one solve behind solve_g and solve_log; g, or h (the pair's lead), stays positive."""
     terminal = spec.prefs.terminal(spec.states)
-    floor = np.full(terminal.size, -np.inf)
-    floor[: spec.states] = G_POSITIVITY_FLOOR
     log = spec.prefs.is_log
     table = solve_market_ode((_log_coefficients if log else rhs_factory)(spec), spec, terminal,
-                             n_steps, tol, positivity_floor=floor,
+                             n_steps, tol, positivity_floor=G_POSITIVITY_FLOOR,
                              sweep=affine_pair_solve if log else None)
     return EquilibriumSolution(spec=spec, table=table)
 

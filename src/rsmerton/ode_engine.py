@@ -49,15 +49,15 @@ class OdeSystem:
 
     rhs must be deterministic and side-effect free and return a float array.
     If positivity_floor is set, integration aborts once any component drops
-    below it (scalar floor or one per component). affine_rk4_solve reads rhs
-    as the coefficients of a linear system instead (see there).
+    below it (affine_pair_solve floors its lead alone). affine_rk4_solve reads
+    rhs as the coefficients of a linear system instead (see there).
     """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     terminal_values: np.ndarray
     horizon: float
-    positivity_floor: float | np.ndarray | None = None
+    positivity_floor: float | None = None
     t_start: float = 0.0
 
     def __post_init__(self):
@@ -215,10 +215,9 @@ def affine_rk4_solve(system: OdeSystem, n_steps: int, lead=None) -> SolutionTabl
 
 
 def affine_pair_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
-    """Sweep the first half of the state (the log branch's h), then the rest fed by it."""
-    S, tv, floor = system.dimension // 2, system.terminal_values, system.positivity_floor
-    lead = affine_rk4_solve(replace(system, dimension=S, terminal_values=tv[:S],
-                                    positivity_floor=None if floor is None else floor[:S]), n_steps)
+    """Sweep the floored first half of the state (the log branch's h), then the rest fed by it."""
+    S, tv = system.dimension // 2, system.terminal_values
+    lead = affine_rk4_solve(replace(system, dimension=S, terminal_values=tv[:S]), n_steps)
     try:
         rest = affine_rk4_solve(replace(system, dimension=S, terminal_values=tv[S:],
                                         positivity_floor=None), n_steps, lead)

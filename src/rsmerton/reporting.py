@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MCReport:
@@ -24,8 +26,6 @@ class MCReport:
 
     @classmethod
     def from_samples(cls, samples, rng_spec, target: float | None = None) -> "MCReport":
-        import numpy as np
-
         samples = np.asarray(samples, dtype=float)
         n = samples.size
         est = float(samples.mean())

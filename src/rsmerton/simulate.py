@@ -16,7 +16,7 @@ extrapolates the first-order utility deficit to eps -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,53 +31,50 @@ DEFAULT_PATH_GRID = 2048
 SLOPE_EPSILONS = (0.1, 0.05, 0.025)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProportionalStrategy:
-    """Feedback strategy proportional to wealth: tables of a(t,i) and b(t,i).
+    """Feedback strategy proportional to wealth: a(t,i) then b(t,i) in one SolutionTable.
 
     invest_frac is the risky fraction pi/x (dimensionless), consume_frac the
-    consumption rate c/x (1/year, nonnegative). Values are interpolated
-    linearly in t between grid nodes.
+    consumption rate c/x (1/year, nonnegative); one lookup interpolates both
+    linearly in t between grid nodes, bit for bit as np.interp.
     """
 
-    grid: np.ndarray
-    invest_frac: np.ndarray  # (n_nodes, S)
-    consume_frac: np.ndarray  # (n_nodes, S)
+    table: SolutionTable  # (n_nodes, 2S): a, then b
 
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        a = np.asarray(self.invest_frac, dtype=float)
-        b = np.asarray(self.consume_frac, dtype=float)
-        if not (np.diff(g) > 0).all():
-            raise ValueError("strategy grid must be strictly increasing")
-        if a.shape != b.shape or a.shape[0] != g.size:
+    def __init__(self, grid, invest_frac, consume_frac):
+        a, b = np.asarray(invest_frac, dtype=float), np.asarray(consume_frac, dtype=float)
+        if a.ndim != 2 or a.shape != b.shape or a.shape[0] != np.size(grid):
             raise ValueError("strategy tables must be (n_nodes, S) matching the grid")
-        if not np.isfinite(a).all() or not np.isfinite(b).all():
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("strategy tables must be finite")
         if (b < 0).any():
             raise ValueError("consumption fraction must be nonnegative")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "invest_frac", a)
-        object.__setattr__(self, "consume_frac", b)
-        d = np.diff(g)
-        uniform = np.allclose(d, d[0], rtol=0, atol=1e-12 * max(d[0], 1.0))
-        object.__setattr__(self, "_uniform_step", float(d[0]) if uniform else None)
+        object.__setattr__(self, "table", SolutionTable(grid, np.hstack([a, b])))
 
     @property
     def n_states(self) -> int:
-        return self.invest_frac.shape[1]
+        return self.table.dimension // 2
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.table.grid
+
+    @property
+    def invest_frac(self) -> np.ndarray:
+        return self.table.values[:, : self.n_states]
+
+    @property
+    def consume_frac(self) -> np.ndarray:
+        return self.table.values[:, self.n_states :]
 
     @classmethod
     def from_constants(
         cls, invest, consume, horizon: float, n_states: int | None = None
     ) -> "ProportionalStrategy":
-        a = np.atleast_1d(np.asarray(invest, dtype=float))
-        b = np.atleast_1d(np.asarray(consume, dtype=float))
-        S = n_states or max(a.size, b.size)
-        a = np.broadcast_to(a, (S,))
-        b = np.broadcast_to(b, (S,))
-        grid = np.array([0.0, horizon])
-        return cls(grid, np.tile(a, (2, 1)), np.tile(b, (2, 1)))
+        S = n_states or max(np.size(invest), np.size(consume))
+        a, b = (np.broadcast_to(np.asarray(v, dtype=float), (2, S)) for v in (invest, consume))
+        return cls(np.array([0.0, horizon]), a, b)
 
     @classmethod
     def from_policy(cls, solution: EquilibriumSolution) -> "ProportionalStrategy":
@@ -95,34 +92,17 @@ class ProportionalStrategy:
 
     def values_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Per-state (a, b) at time(s) t, each of shape t.shape + (S,)."""
-        t = np.asarray(t, dtype=float)
-        g = self.grid
-        step = self._uniform_step
-        if step is None:
-            cols = np.arange(self.n_states)
-            return (interp_by_state(g, self.invest_frac, t[..., None], cols),
-                    interp_by_state(g, self.consume_frac, t[..., None], cols))
-        pos = (t - g[0]) / step
-        k = np.clip(pos.astype(np.int64), 0, g.size - 2)
-        w = np.clip(pos - k, 0.0, 1.0)[..., None]
-        a = self.invest_frac[k] + (self.invest_frac[k + 1] - self.invest_frac[k]) * w
-        b = self.consume_frac[k] + (self.consume_frac[k + 1] - self.consume_frac[k]) * w
-        return a, b
+        ab = self.table.interpolate(t)
+        return ab[..., : self.n_states], ab[..., self.n_states :]
 
     def scaled(self, invest: float = 1.0, consume: float = 1.0) -> "ProportionalStrategy":
-        return replace(
-            self,
-            invest_frac=self.invest_frac * invest,
-            consume_frac=self.consume_frac * consume,
-        )
-
-    def min_consumption(self) -> float:
-        return float(self.consume_frac.min())
+        a, b = self.invest_frac * invest, self.consume_frac * consume
+        return ProportionalStrategy(self.grid, a, b)
 
 
 def _utility_domain_check(strategy: ProportionalStrategy, spec: MarketSpec):
     needs_positive = spec.prefs.is_log or spec.gamma < 0
-    if needs_positive and strategy.min_consumption() <= 0.0:
+    if needs_positive and strategy.consume_frac.min() <= 0.0:
         raise ValueError(
             "running utility diverges: consumption fraction must be positive "
             "for log or negative-power preferences"
@@ -141,8 +121,7 @@ def _cumulative_tables(strategy: ProportionalStrategy, spec: MarketSpec):
     tg, r_c, mu_c, sigma_c = spec.coefficients_on(strategy.grid)
     s2_c = sigma_c**2
     S = strategy.n_states
-    a_tab = interp_by_state(strategy.grid, strategy.invest_frac, tg[:, None], np.arange(S))
-    b_tab = interp_by_state(strategy.grid, strategy.consume_frac, tg[:, None], np.arange(S))
+    a_tab, b_tab = strategy.values_at(tg)
     dt = np.diff(tg)[:, None]
     a_lo, a_hi = a_tab[:-1], a_tab[1:]
     b_lo, b_hi = b_tab[:-1], b_tab[1:]

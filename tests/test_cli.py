@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from rsmerton.cli import (
     slope_certificate,
     spec_hash,
 )
+from rsmerton.core_model import market_spec_to_json
 from rsmerton.ctmc import RngSpec, dynkin_check, stationary_distribution
-from rsmerton.equilibrium import solve, value_at
+from rsmerton.equilibrium import rhs_factory, solve, value_at
+from rsmerton.ode_engine import OdeSystem, residual_norm
+from tests.test_coefficient_overrides import two_phase_override
 
 
 def minimal_config(out_dir, **extra):
@@ -115,6 +119,22 @@ class TestRun:
         v = report["runs"]["-1"]["validation"]
         assert v["passed"]
         assert v["residual_norm"] <= 1e-5
+        # one leg: the whole table against the spec's own coefficients, bit for bit
+        spec = benchmark_spec(-1.0)
+        rhs = rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
+        whole = residual_norm(OdeSystem(2, rhs, np.ones(2), 1.0), solve(spec, n_steps=256).table)
+        assert v["residual_norm"] == whole
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_validation_passes_on_an_override_market(self, tmp_path, gamma):
+        # Each leg is checked against its own coefficients; the spec's base
+        # coefficients over the whole table gave 1.6e-2 at gamma = -1.
+        market = market_spec_to_json(replace(benchmark_spec(gamma), override=two_phase_override()))
+        doc = minimal_config(tmp_path, market=market, gammas=[gamma], grid=2048,
+                             outputs=["validation"])
+        assert run(load_config(doc)) == 0
+        report = json.loads((tmp_path / "validation_report.json").read_text())
+        assert report["runs"][f"{gamma:g}"]["validation"]["residual_norm"] <= 2e-6
 
     def test_mc_identity_gate_fails_with_state_dependent_discount(self, tmp_path):
         # The MC gate compares the utility functional with the value ansatz;

@@ -310,11 +310,13 @@ class TestAffineSweep:
     def test_pair_floor_failure_is_the_per_stage_one(self):
         # The lead's forcing jumps near t = 0.6 and drives it below the floor;
         # the follower's log h fails there too, but the state is checked first.
+        # The pair floors its lead alone; the joint reference floors the same
+        # components with a per-component floor of its own.
         coefficients, _, joint = linear_pair(2, kick=lambda t: 400.0 * (np.abs(t - 0.6) < 0.01))
-        floor = np.array([1e-12, 1e-12, -np.inf, -np.inf])
         system = OdeSystem(4, coefficients, np.array([1.0, 1.0, 0.0, 0.0]), 1.0,
-                           positivity_floor=floor)
-        ref = per_stage_error(replace(system, rhs=joint), 256)
+                           positivity_floor=1e-12)
+        floor = np.array([1e-12, 1e-12, -np.inf, -np.inf])
+        ref = per_stage_error(replace(system, rhs=joint, positivity_floor=floor), 256)
         with pytest.raises(OdeDomainError) as got:
             affine_pair_solve(system, 256)
         e = got.value

@@ -50,6 +50,24 @@ class TestProportionalStrategy:
         np.testing.assert_allclose(a, 0.5)
         np.testing.assert_allclose(b, 0.1)
 
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 0.7, 301),  # uniform, step not a power of two
+        np.linspace(0.0, 1.0, 2049),  # dyadic, as a solve grid on [0, 1]
+        np.unique(np.concatenate([[0.0, 1.0], np.random.default_rng(4).uniform(0, 1, 300)])),
+    ], ids=["uniform-0.7", "dyadic", "non-uniform"])
+    def test_values_at_is_np_interp_bit_for_bit(self, grid):
+        g = np.random.default_rng(11)
+        a = np.cumsum(g.standard_normal((grid.size, 3)), axis=0)
+        b = np.abs(np.cumsum(g.standard_normal((grid.size, 3)), axis=0))
+        s = ProportionalStrategy(grid, a, b)
+        # random times (some past either end), every node and both ends
+        t = np.concatenate([g.uniform(grid[0] - 0.05, grid[-1] + 0.05, 40_000), grid,
+                            grid[[0, -1]]])
+        got_a, got_b = s.values_at(t)
+        for got, tab in ((got_a, a), (got_b, b)):
+            ref = np.stack([np.interp(t, grid, tab[:, j]) for j in range(3)], axis=1)
+            np.testing.assert_array_equal(got, ref)
+
     def test_from_policy_matches_solution(self, bench_spec):
         sol = solve_g(bench_spec)
         s = ProportionalStrategy.from_policy(sol)
@@ -62,6 +80,15 @@ class TestProportionalStrategy:
     def test_negative_consumption_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ProportionalStrategy.from_constants(0.0, -0.1, horizon=1.0, n_states=2)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (np.zeros((3, 2)), np.zeros((3, 2)), "matching the grid"),
+        (np.zeros((2, 2)), np.zeros((2, 3)), "matching the grid"),
+        (np.full((2, 2), np.nan), np.zeros((2, 2)), "must be finite"),
+    ], ids=["rows", "columns", "non-finite"])
+    def test_tables_rejected_with_their_messages(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            ProportionalStrategy([0.0, 1.0], a, b)
 
     def test_scaled(self):
         s = ProportionalStrategy.from_constants(1.0, 0.4, horizon=1.0, n_states=2)
