@@ -437,8 +437,10 @@ def _config_from_args(args, default_outputs) -> ExperimentConfig:
     else:
         doc = {"market": dict(BENCHMARK_MARKET), "gammas": list(BENCHMARK_GAMMAS),
                "outputs": list(default_outputs)}
-    flags = {"out_dir": args.out, "seed": args.seed, "paths": args.paths, "grid": args.grid}
-    doc.update({key: value for key, value in flags.items() if value is not None})
+    flags = vars(args)
+    laid = {"out_dir": flags["out"], "seed": flags.get("seed"), "paths": flags.get("paths"),
+            "grid": flags.get("grid"), "gammas": [flags["gamma"]] if "gamma" in flags else None}
+    doc.update({key: value for key, value in laid.items() if value is not None})
     return load_config(doc)
 
 
@@ -460,13 +462,9 @@ def main(argv=None) -> int:
             print(json.dumps(summary["checks"]))
             return 0 if ok else 1
         if args.verb == "slope-cert":
-            if args.config is not None:
-                cfg = load_config(Path(args.config).read_text())
-                spec = market_spec_from_json({**cfg.market, "gamma": args.gamma})
-            else:
-                spec = benchmark_spec(args.gamma)
-            cert = slope_certificate(spec)
-            out = Path(args.out)
+            cfg = _config_from_args(args, ["slopes"])
+            cert = slope_certificate(market_spec_from_json({**cfg.market, "gamma": cfg.gammas[0]}))
+            out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             (out / "slope_certificate.json").write_text(json.dumps(cert, indent=2))
             print(f"worst slope {cert['worst_slope']:.3e} "

@@ -10,11 +10,12 @@ chain and the Brownian motion are independent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from rsmerton.core_model import RegimeGenerator
-from rsmerton.ode_engine import BLOCK_ELEMENTS, interp_by_state, running_sum
+from rsmerton.ode_engine import BLOCK_ELEMENTS, interp_by_state
 from rsmerton.reporting import MCReport
 
 CHAIN_SUBSTREAM = 0
@@ -230,7 +231,7 @@ def cell_blocks(skel: JumpSkeletons, edges: np.ndarray, tables=()):
             lo[row, pair] = v_after
             hi[row - 1, pair] = v_before
             inc = np.take(rise, at_entry)
-            inc[pair_cell, pair_path] = running_sum(np.zeros(heads.size), hi - lo)[-1]
+            inc[pair_cell, pair_path] = reduce(np.add, hi - lo, np.zeros(heads.size))  # rows in order
             increments.append(inc)
             seg_values.append((lo, hi))
         yield CellBlock(

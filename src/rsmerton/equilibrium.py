@@ -21,6 +21,8 @@ The Picard operator of the fixed-point characterization
 
 is implemented by Monte-Carlo over chain paths and serves as an independent
 oracle for the ODE route (note the discount rate inside K follows the chain).
+Each block of the walk (ctmc.cell_blocks) is settled by one loop over its
+cells in order, a cell's jumps segment by segment.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from rsmerton.ode_engine import (
     affine_pair_solve,
     interp_by_state,
     rk4_solve,
-    running_sum,
     solve_terminal_ode,
     step_cumulative,
     step_halving,
@@ -302,6 +303,9 @@ def picard_apply(
     if eval_times is None:
         eval_times = np.linspace(0.0, T, PICARD_EVAL_POINTS)
     eval_times = np.asarray(eval_times, dtype=float)
+    outside = eval_times[~((eval_times >= 0.0) & (eval_times <= T))]  # NaN included
+    if outside.size:
+        raise ValueError(f"eval time {outside[0]} outside [0, {T}]")
     gp_grid = g_candidate.grid
     gp_tab = np.power(g_candidate.values, gamma / (gamma - 1.0))
 
@@ -348,10 +352,8 @@ def _picard_path_values(
     integral = np.zeros(n_paths)
     f_prev = np.full(n_paths, gp_edges[initial])  # K g^(gamma/(gamma-1)) at the lower edge
     for blk in cell_blocks(skel, edges, ((nodes, cq), (gp_grid, gp_tab))):
-        d_expo = blk.increments[0]
-        pair_integrals = _picard_pairs(blk, d_expo, expo)
-        run = running_sum(expo, d_expo)  # log K at the block's edges
-        k = blk.start + np.arange(1, d_expo.shape[0] + 1)[:, None]
+        run, pair_integrals = _picard_block(blk, expo)
+        k = blk.start + np.arange(1, run.shape[0])[:, None]
         # At an upper edge in the exit state; a cell without jumps exits in
         # its entry state, and a cell with jumps takes its pair integral.
         f = np.exp(run[1:]) * np.take(gp_edges, k * S + blk.exit)
@@ -363,34 +365,30 @@ def _picard_path_values(
     return np.exp(expo) + (1.0 - gamma) * integral
 
 
-def _picard_pairs(blk, d_expo, expo):
-    """Trapezoid of K g^(gamma/(gamma-1)) over the segments of each cell with a jump.
+def _picard_block(blk, expo):
+    """log K at the block's edges, from expo at its first, and each pair's integral.
 
-    Returns one integral per (cell, path) pair of the block and sets d_expo
-    there to the pair's log K at the upper edge minus its log K at the lower
-    edge. That start value depends on the path's earlier pairs in the block,
-    so pairs are settled in layers: layer l holds every path's l-th pair.
+    One loop settles the cells in order. A path without a jump in cell c adds
+    the cell's rise of log K. A pair of cell c starts from e0, its log K at
+    the cell's lower edge, and adds its segments in order to e, taking the
+    trapezoid of K g^(gamma/(gamma-1)) over each. Its log K at the upper edge
+    is then e0 + (e - e0), not e: the walk adds one rise per cell to the
+    running log K, and these are the bits of that sum, which the golden
+    values pin.
     """
-    cell, path = blk.pair_cell, blk.pair_path
+    d_expo = blk.increments[0]
     (cq_lo, cq_hi), (g_lo, g_hi) = blk.seg_values
-    de = cq_hi - cq_lo
-    width = np.diff(blk.knots, axis=0)
-    by_path = np.argsort(path, kind="stable")  # pairs come in cell order
-    new_path = np.append(True, path[by_path][1:] != path[by_path][:-1])
-    heads = np.flatnonzero(new_path)
-    layer = np.empty(cell.size, dtype=np.int64)
-    layer[by_path] = np.arange(cell.size) - heads[np.cumsum(new_path) - 1]
-    out = np.zeros(cell.size)
-    for lay in range(layer.max(initial=-1) + 1):
-        sel = np.flatnonzero(layer == lay)
-        cols = path[sel]
-        e0 = running_sum(expo[cols], d_expo[:, cols])[cell[sel], np.arange(sel.size)]
+    de, width = cq_hi - cq_lo, np.diff(blk.knots, axis=0)
+    bounds = np.searchsorted(blk.pair_cell, np.arange(d_expo.shape[0] + 1))  # pairs in cell order
+    run = np.concatenate([expo[None], d_expo])  # row c + 1: rise, then log K
+    out = np.zeros(blk.pair_cell.size)
+    for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        run[c + 1] += run[c]
+        cols = blk.pair_path[a:b]
+        e0 = run[c, cols]
         e = e0.copy()
-        c = np.zeros(sel.size)
-        for r in range(de.shape[0]):
-            de_r = de[r, sel]
-            c += 0.5 * (np.exp(e) * g_lo[r, sel] + np.exp(e + de_r) * g_hi[r, sel]) * width[r, sel]
+        for lo, hi, w, de_r in zip(g_lo[:, a:b], g_hi[:, a:b], width[:, a:b], de[:, a:b]):
+            out[a:b] += 0.5 * (np.exp(e) * lo + np.exp(e + de_r) * hi) * w
             e += de_r
-        d_expo[cell[sel], cols] = e - e0
-        out[sel] = c
-    return out
+        run[c + 1, cols] = e0 + (e - e0)
+    return run, out

@@ -300,18 +300,6 @@ def interp_by_state(grid: np.ndarray, table: np.ndarray, t: np.ndarray, state: n
     return out
 
 
-def running_sum(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[start, start + rows[0], (start + rows[0]) + rows[1], ...], added one row at a time.
-
-    For a few long rows this is much faster than np.cumsum along the first axis.
-    """
-    out = np.empty((rows.shape[0] + 1,) + np.shape(start))
-    out[0] = start
-    for b, row in enumerate(rows):
-        np.add(out[b], row, out=out[b + 1])
-    return out
-
-
 def step_cumulative(nodes: np.ndarray, interval_values: np.ndarray) -> np.ndarray:
     """Cumulative integral at nodes of per-state rates constant on each internode interval.
 

@@ -289,6 +289,18 @@ class TestSlopeCertificate:
         assert cert["worst_slope"] >= -1e-6
         assert len(cert["cells"]) == 6
 
+    @pytest.mark.parametrize("gamma", ["1.5", "nan"])
+    def test_bad_gamma_returns_2(self, tmp_path, capsys, gamma):
+        assert main(["slope-cert", "--gamma", gamma, "--out", str(tmp_path)]) == 2
+        assert "config.gammas[0]" in capsys.readouterr().err
+
+    def test_market_only_config_passes(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"market": BENCHMARK_MARKET}))
+        argv = ["slope-cert", "--config", str(cfg_path), "--gamma", "-1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "slope_certificate.json").read_text())["passed"]
+
 
 class TestDiagnostics:
     def test_generator_diagnostics(self):

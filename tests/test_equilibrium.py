@@ -332,6 +332,12 @@ class TestPicard:
         with pytest.raises(ValueError, match="positive"):
             picard_apply(bench_spec, bad, 2000, RngSpec(seed=1))
 
+    @pytest.mark.parametrize("t", [-0.5, 1.5, np.nan])
+    def test_rejects_eval_time_outside_horizon(self, bench_spec, t):
+        flat = SolutionTable(grid=np.array([0.0, 1.0]), values=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=f"eval time {t} outside"):
+            picard_apply(bench_spec, flat, 2000, RngSpec(seed=1), eval_times=[t])
+
 
 class TestGammaContinuity:
     def test_tiny_gamma_matches_log_branch(self):

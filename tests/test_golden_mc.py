@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rsmerton import ctmc
 from rsmerton.cli import benchmark_spec
 from rsmerton.core_model import MarketSpec, PiecewiseCoefficients, RegimeGenerator
 from rsmerton.ctmc import RngSpec
@@ -140,10 +141,14 @@ TERMINAL_WEALTH = {
 }
 
 
-def test_sample_terminal_wealth_is_pinned():
+def _terminal_wealth():
     spec = regime_market(7919, 20.0)
-    xt = sample_terminal_wealth(_regime_strategy(spec), 1.5, 3, spec, 1000,
-                                RngSpec(seed=36, stream=9), n_grid=64)
+    return sample_terminal_wealth(_regime_strategy(spec), 1.5, 3, spec, 1000,
+                                  RngSpec(seed=36, stream=9), n_grid=64)
+
+
+def test_sample_terminal_wealth_is_pinned():
+    xt = _terminal_wealth()
     assert xt.shape == (1000,)
     assert (float(xt.min()), float(xt.max()), float(xt.sum())) == TERMINAL_WEALTH["stats"]
     assert _sha(xt) == TERMINAL_WEALTH["sha256"]
@@ -192,3 +197,19 @@ def test_picard_apply_is_pinned(case):
         assert _sha(np.concatenate([est.values.ravel(), est.stderr.ravel()])) == pinned
     else:
         assert (est.values.tolist(), est.stderr.tolist()) == pinned
+
+
+def _regime_walks():
+    """The 32-regime picard_apply, estimate_J and sample_terminal_wealth cases, end to end."""
+    est, rep = _picard("regimes32"), _estimate("regimes32")
+    return np.concatenate([est.values.ravel(), est.stderr.ravel(), [rep.estimate, rep.stderr],
+                           _terminal_wealth()])
+
+
+@pytest.mark.parametrize("block_elements", [1, 3001, 2**20])
+def test_block_width_does_not_move_a_bit(monkeypatch, block_elements):
+    # 1: a cell per block; 3001: 15 cells at 200 paths and 3 at 1000, with a
+    # shorter last block; 2**20: the whole walk in one block.
+    default = _regime_walks()
+    monkeypatch.setattr(ctmc, "BLOCK_ELEMENTS", block_elements)
+    assert _regime_walks().tobytes() == default.tobytes()
