@@ -23,7 +23,6 @@ from rsmerton.core_model import (
     RegimeGenerator,
     SpecValidationError,
     market_spec_from_json,
-    validate_spec,
 )
 from rsmerton.equilibrium import solve_g, solve_log
 
@@ -33,7 +32,6 @@ __all__ = [
     "RegimeGenerator",
     "SpecValidationError",
     "market_spec_from_json",
-    "validate_spec",
     "solve_g",
     "solve_log",
 ]

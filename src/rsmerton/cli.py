@@ -182,7 +182,7 @@ def _curve_meta(spec: MarketSpec, cfg_seed, grid: int) -> dict:
     return meta
 
 
-def _consumption_checks(curve_grid, rates, rho) -> dict:
+def _consumption_checks(rates, rho) -> dict:
     """Qualitative checks on a consumption-curve table."""
     terminal_dev = float(np.abs(rates[-1] - 1.0).max())
     interior = rates[:-1]
@@ -280,7 +280,7 @@ def _validate_solution(spec, solution, curve) -> dict:
                            cuts[k + 1], t_start=cuts[k])
         legs.append(residual_norm(system, SolutionTable(grid[on], values[on])))
     res = float(np.max(legs))  # a NaN leg stays NaN and fails the gate
-    checks = _consumption_checks(curve.grid, curve.rates, spec.rho)
+    checks = _consumption_checks(curve.rates, spec.rho)
     passed = (
         res <= 1e-5
         and checks["terminal_within_1e-6"]
@@ -337,28 +337,20 @@ def slope_certificate(
     spec: MarketSpec,
     solution=None,
     n_interior_points: int = 5,
-    x: float = 1.0,
 ) -> dict:
-    """Slope test over the six-perturbation menu at interior (t, state) points."""
-    sol = solution if solution is not None else solve(spec)
-    menu = perturbation_menu(sol)
-    oracle = SlopeOracle(spec, solution=sol)
-    T = spec.horizon
-    ts = np.linspace(0.1, 0.9, n_interior_points) * T
-    cells = []
-    worst = np.inf
-    for k, t in enumerate(ts):
-        i = k % spec.states
-        for name, pert in menu.items():
-            res = oracle.slope(float(t), x, i, pert)
-            worst = min(worst, res.extrapolated)
-            cells.append(
-                {"t": float(t), "state": i, "perturbation": name,
-                 "slope": res.extrapolated}
-            )
+    """Slope test over the six-perturbation menu at interior (t, state) points, at wealth 1."""
+    oracle = SlopeOracle(spec, solution=solution)
+    menu = perturbation_menu(oracle.solution)
+    ts = np.linspace(0.1, 0.9, n_interior_points) * spec.horizon
+    cells = [
+        {"t": float(t), "state": k % spec.states, "perturbation": name,
+         "slope": oracle.slope(float(t), 1.0, k % spec.states, pert).extrapolated}
+        for k, t in enumerate(ts) for name, pert in menu.items()
+    ]
+    worst = float(np.min([c["slope"] for c in cells], initial=np.inf))  # a NaN cell fails
     return {
         "cells": cells,
-        "worst_slope": float(worst),
+        "worst_slope": worst,
         "tolerance": SLOPE_TOLERANCE,
         "passed": bool(worst >= SLOPE_TOLERANCE),
     }
@@ -386,7 +378,7 @@ def reproduce_fig1(out_dir: str, seed: int | None = None, grid: int = 2048) -> d
         path = out / f"consumption_g{tag}.csv"
         path.write_text(curve.to_csv(meta=_curve_meta(spec, seed, grid)))
         summary["files"][tag] = str(path)
-        checks = _consumption_checks(curve.grid, curve.rates, spec.rho)
+        checks = _consumption_checks(curve.rates, spec.rho)
         all_ordered = all_ordered and checks["higher_rho_higher_consumption"]
         all_terminal = all_terminal and checks["terminal_within_1e-6"]
         gaps[tag] = checks["max_state_gap"]

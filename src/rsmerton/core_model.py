@@ -1,7 +1,7 @@
 """Problem data: market coefficients, regime generator, preferences, CRRA primitives.
 
-All containers are frozen dataclasses holding read-only numpy arrays, so a
-validated spec can be shared freely across workers.
+All containers are frozen dataclasses holding read-only numpy arrays; a
+MarketSpec is checked when built, so any spec is valid and freely shareable.
 """
 
 from __future__ import annotations
@@ -90,13 +90,14 @@ class Preferences:
     """
 
     gamma: float
-    is_log: bool
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "Preferences":
-        if abs(gamma) < LOG_GAMMA_EPS:
-            return cls(gamma=0.0, is_log=True)
-        return cls(gamma=float(gamma), is_log=False)
+        return cls(gamma=0.0 if abs(gamma) < LOG_GAMMA_EPS else float(gamma))
+
+    @property
+    def is_log(self) -> bool:
+        return self.gamma == 0.0
 
     def terminal(self, states: int) -> np.ndarray:
         """Coefficient row at the horizon: y = 1, or h = 1 then l = 0."""
@@ -106,10 +107,13 @@ class Preferences:
 
     def value(self, row: np.ndarray, x: float, i: int) -> float:
         """Value ansatz at wealth x in state i from one coefficient row."""
-        if x <= 0:
-            raise ValueError("wealth must be positive")
+        if not 0 < x < np.inf:
+            raise ValueError(f"wealth must be finite and positive, got {x}")
+        S = row.size // 2 if self.is_log else row.size
+        if not 0 <= i < S:
+            raise IndexError(f"state {i} outside [0, {S}) of the row")
         if self.is_log:
-            return float(row[i] * np.log(x) + row[row.size // 2 + i])
+            return float(row[i] * np.log(x) + row[S + i])
         return float(row[i] * x**self.gamma / self.gamma)
 
     def consumption(self, values: np.ndarray, states: int) -> np.ndarray:
@@ -168,7 +172,8 @@ class MarketSpec:
 
     Coefficients are constant per regime unless an override makes r, alpha
     and sigma piecewise constant in time as well. Units: rates are 1/year,
-    sigma is 1/sqrt(year), horizon is years.
+    sigma is 1/sqrt(year), horizon is years. Construction (dataclasses.replace
+    included) raises SpecValidationError with every violation.
     """
 
     states: int
@@ -186,6 +191,8 @@ class MarketSpec:
         for name in ("r", "alpha", "sigma", "rho"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "prefs", Preferences.from_gamma(self.gamma))
+        if errs := self.violations():
+            raise SpecValidationError(errs)
 
     @property
     def mu(self) -> np.ndarray:
@@ -237,14 +244,6 @@ class MarketSpec:
         return errs
 
 
-def validate_spec(spec: MarketSpec) -> MarketSpec:
-    """Return the spec if every invariant holds, else raise with all violations."""
-    errs = spec.violations()
-    if errs:
-        raise SpecValidationError(errs)
-    return spec
-
-
 # List depth of each JSON field (0: a number); states must be an integer.
 _JSON_NDIM = {"states": 0, "r": 1, "alpha": 1, "sigma": 1, "generator": 2, "rho": 1,
               "gamma": 0, "horizon": 0}
@@ -267,7 +266,7 @@ def _shape_violations(data: dict, ndims: dict, prefix: str = "") -> list[str]:
 
 
 def market_spec_from_json(doc: str | dict[str, Any]) -> MarketSpec:
-    """Build and validate a MarketSpec, override included, from JSON (unknown keys rejected)."""
+    """Build a MarketSpec, override included, from JSON (unknown keys rejected)."""
     data = json.loads(doc) if isinstance(doc, str) else dict(doc)
     unknown = set(data) - set(_JSON_NDIM) - {"override"}
     if unknown:
@@ -283,13 +282,12 @@ def market_spec_from_json(doc: str | dict[str, Any]) -> MarketSpec:
         errs += _shape_violations(ov, _OVERRIDE_NDIM, "override.")
     if errs:
         raise SpecValidationError(errs)
-    spec = MarketSpec(
+    return MarketSpec(
         **{k: data[k] for k in ("r", "alpha", "sigma", "rho")},
         states=int(data["states"]), gamma=float(data["gamma"]), horizon=float(data["horizon"]),
         generator=RegimeGenerator(data["generator"]),
         override=None if ov is None else PiecewiseCoefficients(**ov),
     )
-    return validate_spec(spec)
 
 
 def market_spec_to_json(spec: MarketSpec) -> dict[str, Any]:

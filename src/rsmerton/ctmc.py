@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,15 +25,15 @@ DIFFUSION_SUBSTREAM = 1
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seedable random source: same (algorithm, seed, stream) reproduces bits.
+    """Seedable random source: same (seed, stream) reproduces bits.
 
-    Only "pcg64" (numpy's default bit generator) is implemented; the name is
+    The bit generator is always "pcg64" (numpy's default); the name is
     recorded in every Monte-Carlo report so results stay attributable.
     """
 
     seed: int
     stream: int = 0
-    algorithm: str = "pcg64"
+    algorithm: ClassVar[str] = "pcg64"
 
     def generator(self, substream: int | tuple = CHAIN_SUBSTREAM) -> np.random.Generator:
         """Derived generator; substream may be an int or a tuple of ints.
@@ -40,8 +41,6 @@ class RngSpec:
         Substream 0 is reserved for chain noise and 1 for diffusion noise so
         the two sources are independent by construction.
         """
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm!r}")
         key = substream if isinstance(substream, tuple) else (substream,)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *key))
         return np.random.Generator(np.random.PCG64(ss))
@@ -107,6 +106,8 @@ def sample_skeletons(
     """
     hold, pcum = _transition_tables(generator)
     S = pcum.shape[0]
+    if not 0 <= initial < S:
+        raise IndexError(f"state {initial} outside [0, {S}) of the generator")
     g = rng.generator(substream)
     t = np.full(n_paths, float(t_start))
     s = np.full(n_paths, int(initial), dtype=np.int64)

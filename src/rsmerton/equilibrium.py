@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from rsmerton.core_model import MarketSpec, validate_spec
+from rsmerton.core_model import MarketSpec
 from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.ode_engine import (
     OdeDomainError,
@@ -149,14 +149,14 @@ class ConsumptionCurve:
 
 def solve_g(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> EquilibriumSolution:
     """Solve the coupled nonlinear g-system backward from g(T, i) = 1 (power branch)."""
-    if validate_spec(spec).prefs.is_log:
+    if spec.prefs.is_log:
         raise ValueError("solve_g is the power branch; use solve_log for gamma = 0")
     return _solve_branch(spec, n_steps, tol)
 
 
 def solve_log(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> EquilibriumSolution:
     """Solve the linear h- and l-systems backward from h(T)=1, l(T)=0 (log branch)."""
-    if not validate_spec(spec).prefs.is_log:
+    if not spec.prefs.is_log:
         raise ValueError("solve_log is the log branch; use solve_g for gamma != 0")
     return _solve_branch(spec, n_steps, tol)
 
@@ -292,7 +292,6 @@ def picard_apply(
     breakpoints (the exponent of K is integrated exactly segment by segment,
     since the discount rate rides the chain).
     """
-    validate_spec(spec)
     if spec.prefs.is_log:
         raise ValueError("the fixed-point operator applies to the power branch")
     if (g_candidate.values <= 0).any():

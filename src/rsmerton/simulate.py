@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rsmerton.core_model import MarketSpec, Preferences, utility, validate_spec
+from rsmerton.core_model import MarketSpec, Preferences, utility
 from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
 from rsmerton.equilibrium import EquilibriumSolution, solve, solve_market_ode
 from rsmerton.ode_engine import SolutionTable, affine_pair_solve, affine_rk4_solve, interp_by_state
@@ -153,9 +153,8 @@ def estimate_J(
     rho_i. Paths use the exact log-space scheme; the running utility is
     integrated by trapezoid on the uniform grid.
     """
-    validate_spec(spec)
-    if x <= 0:
-        raise ValueError("wealth must be positive")
+    if not 0 < x < np.inf:
+        raise ValueError(f"wealth must be finite and positive, got {x}")
     if not 0.0 <= t <= spec.horizon:
         raise ValueError(f"t={t} outside [0, {spec.horizon}]")
     prefs = spec.prefs
@@ -168,9 +167,9 @@ def estimate_J(
         )
     _utility_domain_check(strategy, spec)
     T = spec.horizon
+    skel = sample_skeletons(spec.generator, i, t, T, n_paths, rng)
     rho_i = spec.rho[i]
     gamma = spec.gamma
-    skel = sample_skeletons(spec.generator, i, t, T, n_paths, rng)
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
     edges = np.linspace(t, T, n_grid + 1)
     dt = np.diff(edges)
@@ -228,9 +227,8 @@ def sample_terminal_wealth(
     n_grid: int = DEFAULT_PATH_GRID,
 ) -> np.ndarray:
     """Terminal wealth X(T) for an ensemble started at (0, x0, i), exact scheme."""
-    validate_spec(spec)
-    if x0 <= 0:
-        raise ValueError("initial wealth must be positive")
+    if not 0 < x0 < np.inf:
+        raise ValueError(f"initial wealth must be finite and positive, got {x0}")
     T = spec.horizon
     skel = sample_skeletons(spec.generator, i, 0.0, T, n_paths, rng)
     zgen = rng.generator(DIFFUSION_SUBSTREAM)
@@ -257,6 +255,9 @@ class FrozenValueTable:
     table: SolutionTable
 
     def value(self, t: float, x: float, row: int) -> float:
+        T = self.table.grid[-1]  # the table spans [0, T]
+        if not 0.0 <= t <= T:
+            raise ValueError(f"t={t} outside [0, {T}]")
         return self.prefs.value(self.table.interpolate(t), x, row)
 
 
@@ -299,7 +300,6 @@ def feynman_kac_value(
     - frozen_rho] f + sum_j rates[i,j] f(., j) + b^gamma = 0, f(T, .) = 1.
     The log branch solves the (h, l) analogue with h(T)=1, l(T)=0.
     """
-    validate_spec(spec)
     _utility_domain_check(strategy, spec)
     table = _fk_solve(strategy, frozen_rho, spec, spec.prefs.terminal(spec.states), n_steps)
     return FrozenValueTable(frozen_rho=frozen_rho, prefs=spec.prefs, table=table)
@@ -332,7 +332,6 @@ class SlopeOracle:
         n_steps_tail: int = 2048,
         n_steps_window: int = 256,
     ):
-        validate_spec(spec)
         self.spec = spec
         self.solution = solution if solution is not None else solve(spec)
         self.base = ProportionalStrategy.from_policy(self.solution)

@@ -1,9 +1,11 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rsmerton import cli
 from rsmerton.cli import (
     BENCHMARK_MARKET,
     ConfigError,
@@ -288,6 +290,13 @@ class TestSlopeCertificate:
         assert cert["passed"]
         assert cert["worst_slope"] >= -1e-6
         assert len(cert["cells"]) == 6
+
+    def test_nan_cell_fails(self, monkeypatch):
+        slopes = iter([np.nan] + [1.0] * 5)
+        monkeypatch.setattr(cli.SlopeOracle, "slope",
+                            lambda self, *a: SimpleNamespace(extrapolated=next(slopes)))
+        cert = slope_certificate(benchmark_spec(-1.0), n_interior_points=1)
+        assert np.isnan(cert["worst_slope"]) and not cert["passed"]
 
     @pytest.mark.parametrize("gamma", ["1.5", "nan"])
     def test_bad_gamma_returns_2(self, tmp_path, capsys, gamma):

@@ -12,7 +12,6 @@ from rsmerton.core_model import (
     SpecValidationError,
     market_spec_from_json,
     market_spec_to_json,
-    validate_spec,
 )
 from rsmerton.ctmc import RngSpec
 from rsmerton.equilibrium import growth_rate, merton_eta, picard_apply, solve_g
@@ -46,12 +45,12 @@ def overridden(spec, override):
 
 
 def override_violations(breakpoints=(0.5,), **rows):
-    """validate_spec's complaint about the bench spec under a two-interval override."""
+    """The construction error of the bench spec under a two-interval override."""
     values = {"r": np.full((2, 2), 0.05), "alpha": np.full((2, 2), 0.2),
               "sigma": np.full((2, 2), 0.25), **rows}
     ov = PiecewiseCoefficients(breakpoints=np.array(breakpoints), **values)
     with pytest.raises(SpecValidationError) as err:
-        validate_spec(overridden(make_spec(), ov))
+        overridden(make_spec(), ov)
     return str(err.value)
 
 
@@ -64,7 +63,7 @@ class TestValidation:
             sigma=np.full((3, 2), 0.25),
         )
         with pytest.raises(SpecValidationError, match="increasing"):
-            validate_spec(overridden(bench_spec, ov))
+            overridden(bench_spec, ov)
 
     def test_row_count_must_match(self, bench_spec):
         ov = PiecewiseCoefficients(
@@ -74,7 +73,7 @@ class TestValidation:
             sigma=np.full((2, 2), 0.25),
         )
         with pytest.raises(SpecValidationError, match="one row per interval"):
-            validate_spec(overridden(bench_spec, ov))
+            overridden(bench_spec, ov)
 
     def test_non_finite_value_named_by_field_path(self):
         r = np.array([[np.nan, 0.05], [0.10, 0.10]])
@@ -95,10 +94,9 @@ class TestValidation:
         assert "override.breakpoints must lie inside (0, 1.0)" in override_violations([1.5])
 
     def test_violations_join_the_spec_violations(self):
-        spec = replace(make_spec(sigma=-0.25), override=replace(
-            two_phase_override(), sigma=np.array([[0.25, 0.0], [0.3, 0.3]])))
         with pytest.raises(SpecValidationError) as err:
-            solve_g(spec)
+            replace(make_spec(), sigma=np.full(2, -0.25), override=replace(
+                two_phase_override(), sigma=np.array([[0.25, 0.0], [0.3, 0.3]])))
         assert any(v.startswith("sigma must be positive") for v in err.value.violations)
         assert any(v.startswith("override.sigma must be positive") for v in err.value.violations)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from rsmerton.core_model import (
     market_spec_from_json,
     market_spec_to_json,
     utility,
-    validate_spec,
 )
 from tests.conftest import make_spec
 
@@ -19,18 +19,18 @@ from tests.conftest import make_spec
 class TestValidation:
     def test_benchmark_generator_valid(self):
         spec = make_spec(generator=[[-6.04, 6.04], [10.9, -10.9]])
-        assert validate_spec(spec) is spec
+        assert spec.violations() == []
 
     def test_symmetric_generator_valid(self):
-        validate_spec(make_spec(generator=[[-1.0, 1.0], [1.0, -1.0]]))
+        assert make_spec(generator=[[-1.0, 1.0], [1.0, -1.0]]).violations() == []
 
     def test_row_sum_violation_named(self):
         with pytest.raises(SpecValidationError, match="row 0 sums to 1"):
-            validate_spec(make_spec(generator=[[-1.0, 2.0], [1.0, -1.0]]))
+            make_spec(generator=[[-1.0, 2.0], [1.0, -1.0]])
 
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(SpecValidationError, match=r"\(0,1\)"):
-            validate_spec(make_spec(generator=[[1.0, -1.0], [1.0, -1.0]]))
+            make_spec(generator=[[1.0, -1.0], [1.0, -1.0]])
 
     @pytest.mark.parametrize(
         "corruption",
@@ -49,7 +49,7 @@ class TestValidation:
     )
     def test_single_field_corruptions_rejected(self, corruption):
         with pytest.raises(SpecValidationError):
-            validate_spec(make_spec(**corruption))
+            make_spec(**corruption)
 
     @pytest.mark.parametrize(
         "corruption, path",
@@ -64,13 +64,26 @@ class TestValidation:
     )
     def test_non_finite_values_rejected_with_field_path(self, corruption, path):
         with pytest.raises(SpecValidationError, match=path + " must be finite"):
-            validate_spec(make_spec(**corruption))
+            make_spec(**corruption)
 
     def test_all_violations_reported_together(self):
-        spec = make_spec(sigma=-1.0, horizon=-2.0, gamma=3.0)
         with pytest.raises(SpecValidationError) as e:
-            validate_spec(spec)
+            make_spec(sigma=-1.0, horizon=-2.0, gamma=3.0)
         assert len(e.value.violations) == 3
+
+    @pytest.mark.parametrize("corruption, message", [
+        (dict(rho=(0.0, 0.0)), "rho must be positive"),
+        (dict(horizon=-1.0), "horizon must be positive"),
+        (dict(gamma=1.5), "gamma must be below 1"),
+    ])
+    def test_single_regime_specs_refused_when_built(self, corruption, message):
+        # specs merton_closed_form used to answer for: C(0) = 0.527, 7.84, 0.143
+        with pytest.raises(SpecValidationError, match=message):
+            make_spec(**{"rho": (0.9, 0.9), **corruption})
+
+    def test_replace_rechecks(self, bench_spec):
+        with pytest.raises(SpecValidationError, match="sigma must be positive"):
+            replace(bench_spec, sigma=np.array([0.25, 0.0]))
 
     def test_spec_arrays_read_only(self, bench_spec):
         with pytest.raises(ValueError):
@@ -155,7 +168,6 @@ class TestExcessReturn:
     def test_negative_excess_return_permitted(self):
         spec = make_spec(mu=-0.02, r=0.05)
         assert spec.mu[0] == pytest.approx(-0.02)
-        validate_spec(spec)
 
     def test_state_out_of_range(self, bench_spec):
         with pytest.raises(IndexError):
@@ -204,6 +216,23 @@ class TestPreferences:
     def test_tiny_gamma_is_log(self):
         assert Preferences.from_gamma(1e-12).is_log
         assert Preferences.from_gamma(-1e-12).is_log
+
+    def test_is_log_follows_gamma(self):
+        assert Preferences(gamma=0.0).is_log and not Preferences(gamma=0.5).is_log
+        with pytest.raises(TypeError):
+            Preferences(gamma=0.5, is_log=True)
+
+    def test_value_refuses_state_outside_row(self):
+        row = np.array([1.0, 2.0, 0.0, 0.5])
+        for prefs, bad in ((Preferences(gamma=0.0), 2), (Preferences(gamma=-1.0), 4)):
+            for i in (-1, bad):
+                with pytest.raises(IndexError, match=f"state {i} outside"):
+                    prefs.value(row, 1.0, i)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, 0.0, -1.0])
+    def test_value_refuses_wealth_not_finite_and_positive(self, x):
+        with pytest.raises(ValueError, match="wealth must be finite and positive"):
+            Preferences(gamma=-1.0).value(np.ones(2), x, 0)
 
     def test_small_but_meaningful_gamma_is_power(self):
         prefs = Preferences.from_gamma(1e-4)

@@ -234,6 +234,18 @@ class TestDynkinCheck:
         with pytest.raises(ValueError, match="1e3"):
             dynkin_check(BENCH, np.array([0.0, 1.0]), 1.0, 500, RngSpec(seed=1))
 
+    @pytest.mark.parametrize("initial", [-1, 2])
+    def test_state_outside_generator_refused(self, initial):
+        with pytest.raises(IndexError, match=rf"state {initial} outside \[0, 2\)"):
+            dynkin_check(BENCH, np.array([0.0, 1.0]), 1.0, 2000, RngSpec(seed=13), initial=initial)
+        with pytest.raises(IndexError, match=f"state {initial}"):
+            sample_skeletons(BENCH, initial, 0.0, 1.0, 10, RngSpec(seed=13))
+
+    def test_algorithm_is_fixed(self):
+        assert RngSpec(seed=1).algorithm == "pcg64"
+        with pytest.raises(TypeError):
+            RngSpec(1, 0, "mt19937")
+
     def test_report_metadata(self):
         rep = dynkin_check(BENCH, np.array([0.0, 1.0]), 1.0, 2000, RngSpec(seed=13, stream=4))
         assert rep.algorithm == "pcg64"

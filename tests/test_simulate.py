@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from rsmerton.cli import benchmark_spec
 from rsmerton.ctmc import DIFFUSION_SUBSTREAM, RngSpec, sample_skeletons
-from rsmerton.equilibrium import merton_closed_form, solve, solve_g, solve_log, solve_market_ode
+from rsmerton.equilibrium import (
+    merton_closed_form, solve, solve_g, solve_log, solve_market_ode, value_at,
+)
 from rsmerton.ode_engine import OdeSystem, rk4_solve
 from rsmerton.simulate import (
     ProportionalStrategy,
@@ -438,3 +440,50 @@ class TestEquilibriumSlope:
             "investment_x2",
             "investment_zero",
         ]
+
+
+class TestPointChecks:
+    """A state outside [0, S), wealth that is not finite and positive, or a time off the
+    table is refused at every point entry, on either branch, instead of answering."""
+
+    @pytest.fixture(scope="class", params=[0.0, -1.0], ids=["log", "power"])
+    def solved(self, request):
+        spec = benchmark_spec(request.param)
+        return spec, solve(spec, n_steps=256)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_state_outside_refused(self, solved, i):
+        spec, sol = solved
+        strategy = ProportionalStrategy.from_policy(sol)
+        with pytest.raises(IndexError, match=f"state {i} outside"):
+            value_at(sol, 0.0, 2.0, i)
+        with pytest.raises(IndexError, match=f"state {i} outside"):
+            feynman_kac_value(strategy, float(spec.rho[0]), spec, n_steps=64).value(0.0, 2.0, i)
+        with pytest.raises(IndexError, match=f"state {i} outside"):
+            estimate_J(strategy, 0.0, 1.0, i, spec, 10, RngSpec(seed=1), n_grid=16)
+        with pytest.raises(IndexError, match=f"state {i} outside"):
+            sample_terminal_wealth(strategy, 1.0, i, spec, 10, RngSpec(seed=1), n_grid=16)
+        oracle = SlopeOracle(spec, solution=sol, n_steps_tail=64, n_steps_window=32)
+        with pytest.raises(IndexError):
+            oracle.slope(0.3, 1.0, i, perturbation_menu(sol)["consumption_x2"])
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_wealth_not_finite_refused(self, solved, x):
+        spec, sol = solved
+        strategy = ProportionalStrategy.from_policy(sol)
+        with pytest.raises(ValueError, match="wealth must be finite and positive"):
+            value_at(sol, 0.0, x, 0)
+        with pytest.raises(ValueError, match="wealth must be finite and positive"):
+            estimate_J(strategy, 0.0, x, 0, spec, 10, RngSpec(seed=1), n_grid=16)
+        with pytest.raises(ValueError, match="wealth must be finite and positive"):
+            sample_terminal_wealth(strategy, x, 0, spec, 10, RngSpec(seed=1), n_grid=16)
+
+    @pytest.mark.parametrize("t", [5.0, -3.0, np.nan])
+    def test_frozen_value_refuses_time_off_the_table(self, solved, t):
+        spec, sol = solved
+        fk = feynman_kac_value(ProportionalStrategy.from_policy(sol), float(spec.rho[0]), spec,
+                               n_steps=64)
+        with pytest.raises(ValueError, match=rf"t={t} outside \[0, 1.0\]"):
+            fk.value(t, 1.0, 0)
+        with pytest.raises(ValueError, match=rf"t={t} outside \[0, 1.0\]"):
+            value_at(sol, t, 1.0, 0)
