@@ -9,10 +9,12 @@ pair i runs the parent first when i is even and the change first when it is
 odd, so a slow spell of the machine falls on both sides alike. Each side's
 end-to-end metrics are reduced to the median and quartiles of its runs, and
 each pair is won by the side whose metric is better in the direction
-BENCHMARK.json gives. A failed run keeps the tail of its stderr in its run
-entry, and makes the script exit 1. A result file that already exists is
-updated: entries for the workloads run now replace earlier ones, the rest are
-kept.
+BENCHMARK.json gives. Each run also records `peak_rss_tree_mb`, the largest
+peak RSS of any process in its tree (the run, its set-up probes and any
+forked workers, from `os.wait4`), which `peak_rss_mb`, the run's own, does
+not see. A failed run keeps the tail of its stderr in its run entry, and
+makes the script exit 1. A result file that already exists is updated:
+entries for the workloads run now replace earlier ones, the rest are kept.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy
@@ -44,16 +47,26 @@ def parse_args(argv):
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark process: its last output line as a dict, with its stderr tail if it failed."""
+    """One benchmark process: its last output line as a dict, with its stderr tail if it failed.
+
+    The process is reaped with os.wait4, whose ru_maxrss is the largest peak
+    RSS among the process and the descendants it waited for.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        with subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err, text=True) as proc:
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        lines, stderr = out.read().strip().splitlines(), err.read()
     result = {"correct": False, "metrics": {}}
     if proc.returncode == 0 and lines:
         result = json.loads(lines[-1])
+    result["metrics"]["peak_rss_tree_mb"] = {"value": usage.ru_maxrss / 1024.0, "unit": "MB"}
     if not result["correct"]:
-        result["error"] = proc.stderr[-2000:]
+        result["error"] = stderr[-2000:]
         print(f"{workload} seed {seed} failed in {checkout}:\n{result['error']}", file=sys.stderr)
     return result
 
@@ -100,6 +113,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better["peak_rss_tree_mb"] = "lower"  # recorded by run_once, not a benchmark metric
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = {
         "nproc": os.cpu_count(),

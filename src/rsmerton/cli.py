@@ -31,7 +31,7 @@ from rsmerton.core_model import (
     market_spec_from_json,
     market_spec_to_json,
 )
-from rsmerton.ctmc import RngSpec
+from rsmerton.ctmc import RngSpec, ensemble_map
 from rsmerton.equilibrium import picard_apply, rhs_factory, solve, value_at
 from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
 from rsmerton.simulate import (
@@ -309,13 +309,12 @@ def _mc_value_check(spec, solution, config) -> dict:
     the frozen-discount note in the README).
     """
     strategy = ProportionalStrategy.from_policy(solution)
+    jobs = [(strategy, spec, i, config.paths, config.grid, config.seed) for i in range(spec.states)]
+    path_cells = spec.states * config.paths * config.grid
     rows = []
     passed = True
-    for i in range(spec.states):
-        rng = RngSpec(seed=config.seed, stream=20 + i)
+    for i, (frozen, rep) in enumerate(ensemble_map(_mc_state, jobs, path_cells)):
         ansatz = value_at(solution, 0.0, 1.0, i)
-        frozen = feynman_kac_value(strategy, float(spec.rho[i]), spec).value(0.0, 1.0, i)
-        rep = estimate_J(strategy, 0.0, 1.0, i, spec, config.paths, rng, n_grid=config.grid)
         z_ansatz = (rep.estimate - ansatz) / rep.stderr if rep.stderr else 0.0
         z_frozen = (rep.estimate - frozen) / rep.stderr if rep.stderr else 0.0
         rows.append(
@@ -331,6 +330,13 @@ def _mc_value_check(spec, solution, config) -> dict:
         )
         passed = passed and abs(z_ansatz) <= 3.0
     return {"rows": rows, "passed": bool(passed)}
+
+
+def _mc_state(strategy, spec, i, paths, grid, seed):
+    """State i's frozen-discount oracle value and MC estimate: one independent ensemble."""
+    frozen = feynman_kac_value(strategy, float(spec.rho[i]), spec).value(0.0, 1.0, i)
+    rng = RngSpec(seed=seed, stream=20 + i)
+    return frozen, estimate_J(strategy, 0.0, 1.0, i, spec, paths, rng, n_grid=grid)
 
 
 def slope_certificate(

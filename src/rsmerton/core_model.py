@@ -26,6 +26,9 @@ class SpecValidationError(ValueError):
         self.violations = violations
         super().__init__("; ".join(violations))
 
+    def __reduce__(self):  # rebuilt from the list, so it survives a worker's pickle
+        return type(self), (self.violations,)
+
 
 def _non_finite(name: str, value) -> list[str]:
     """One violation per NaN or infinite entry, named by its index path."""

@@ -21,6 +21,8 @@ The Picard operator of the fixed-point characterization
 
 is implemented by Monte-Carlo over chain paths and serves as an independent
 oracle for the ODE route (note the discount rate inside K follows the chain).
+The (t, i) ensembles are independent, so ctmc.ensemble_map may run them in
+forked workers.
 Each block of the walk (ctmc.cell_blocks) is settled by one loop over its
 cells in order, a cell's jumps segment by segment.
 """
@@ -33,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from rsmerton.core_model import MarketSpec
-from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, cell_blocks, sample_skeletons
+from rsmerton.ctmc import CHAIN_SUBSTREAM, RngSpec, cell_blocks, ensemble_map, sample_skeletons
 from rsmerton.ode_engine import (
     OdeDomainError,
     OdeSystem,
@@ -308,21 +310,22 @@ def picard_apply(
     gp_grid = g_candidate.grid
     gp_tab = np.power(g_candidate.values, gamma / (gamma - 1.0))
 
-    values = np.zeros((eval_times.size, S))
-    stderr = np.zeros((eval_times.size, S))
+    points, jobs, cells = [], [], 0  # one independent ensemble per (t, i) before T
     for pt, t0 in enumerate(eval_times):
+        if t0 >= T:
+            continue
+        n_cells = max(8, int(round(quad_cells * (T - t0) / T)))
+        edges = np.linspace(t0, T, n_cells + 1)
+        cells += S * n_cells
         for i in range(S):
-            if t0 >= T:
-                values[pt, i] = 1.0  # K(T)=1, empty integral
-                continue
-            n_cells = max(8, int(round(quad_cells * (T - t0) / T)))
-            edges = np.linspace(t0, T, n_cells + 1)
-            samples = _picard_path_values(
-                spec, gamma, gp_grid, gp_tab, i, t0, edges, n_paths, rng,
-                substream=(CHAIN_SUBSTREAM, pt * S + i),
-            )
-            values[pt, i] = samples.mean()
-            stderr[pt, i] = samples.std(ddof=1) / np.sqrt(n_paths)
+            points.append((pt, i))
+            jobs.append((spec, gamma, gp_grid, gp_tab, i, t0, edges, n_paths, rng,
+                         (CHAIN_SUBSTREAM, pt * S + i)))
+    values = np.ones((eval_times.size, S))  # K(T)=1, empty integral
+    stderr = np.zeros((eval_times.size, S))
+    for (pt, i), samples in zip(points, ensemble_map(_picard_path_values, jobs, n_paths * cells)):
+        values[pt, i] = samples.mean()
+        stderr[pt, i] = samples.std(ddof=1) / np.sqrt(n_paths)
     return PicardEstimate(
         eval_times=eval_times,
         values=values,

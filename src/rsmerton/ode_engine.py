@@ -34,9 +34,13 @@ class OdeDomainError(RuntimeError):
     """Raised when the state leaves the admissible domain during integration."""
 
     def __init__(self, t: float, component: int, value: float, reason: str, note: str = ""):
-        self.t, self.component, self.value, self.reason = t, component, value, reason
+        self.t, self.component, self.value = t, component, value
+        self.reason, self.note = reason, note
         msg = f"{reason} at t={t:.6g}, component {component} (value {value:.6g})"
         super().__init__(msg + (f"; {note}" if note else ""))
+
+    def __reduce__(self):  # rebuilt from the fields, so it survives a worker's pickle
+        return type(self), (self.t, self.component, self.value, self.reason, self.note)
 
 
 class OdeConvergenceError(RuntimeError):

@@ -100,6 +100,11 @@ class ProportionalStrategy:
         return ProportionalStrategy(self.grid, a, b)
 
 
+def _check_state(spec: MarketSpec, i: int):
+    if not 0 <= i < spec.states:
+        raise IndexError(f"state {i} outside [0, {spec.states}) of the market")
+
+
 def _utility_domain_check(strategy: ProportionalStrategy, spec: MarketSpec):
     needs_positive = spec.prefs.is_log or spec.gamma < 0
     if needs_positive and strategy.consume_frac.min() <= 0.0:
@@ -157,6 +162,7 @@ def estimate_J(
         raise ValueError(f"wealth must be finite and positive, got {x}")
     if not 0.0 <= t <= spec.horizon:
         raise ValueError(f"t={t} outside [0, {spec.horizon}]")
+    _check_state(spec, i)
     prefs = spec.prefs
     if t >= spec.horizon:
         u = float(utility(x, prefs))
@@ -362,6 +368,7 @@ class SlopeOracle:
         perturbation: ProportionalStrategy,
         epsilons=None,
     ) -> SlopeResult:
+        _check_state(self.spec, i)  # before any solve is cached under i
         T = self.spec.horizon
         if not 0.0 <= t < T:
             raise ValueError(f"t={t} must lie in [0, T)")

@@ -464,8 +464,16 @@ class TestPointChecks:
         with pytest.raises(IndexError, match=f"state {i} outside"):
             sample_terminal_wealth(strategy, 1.0, i, spec, 10, RngSpec(seed=1), n_grid=16)
         oracle = SlopeOracle(spec, solution=sol, n_steps_tail=64, n_steps_window=32)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=f"state {i} outside"):
             oracle.slope(0.3, 1.0, i, perturbation_menu(sol)["consumption_x2"])
+        assert oracle._tails == {} and oracle._eq_windows == {}  # refused before any solve
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_state_outside_refused_at_the_horizon(self, solved, i):
+        spec, sol = solved
+        strategy = ProportionalStrategy.from_policy(sol)
+        with pytest.raises(IndexError, match=rf"state {i} outside \[0, 2\)"):
+            estimate_J(strategy, spec.horizon, 1.0, i, spec, 10, RngSpec(seed=1), n_grid=16)
 
     @pytest.mark.parametrize("x", [np.nan, np.inf])
     def test_wealth_not_finite_refused(self, solved, x):
