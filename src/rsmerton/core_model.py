@@ -67,13 +67,13 @@ class RegimeGenerator:
             return _non_finite("generator", m)
         if m.shape[0] < 2:
             errs.append(f"need at least 2 regimes, got {m.shape[0]}")
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if i != j and m[i, j] < 0:
-                    errs.append(f"negative off-diagonal rate at ({i},{j}): {m[i, j]}")
-            s = m[i].sum()
-            if abs(s) > ROW_SUM_TOL:
-                errs.append(f"row {i} sums to {s:.6g}")
+        negative = (m < 0) & ~np.eye(m.shape[0], dtype=bool)
+        sums = m.sum(axis=1)
+        for i in np.flatnonzero(negative.any(axis=1) | (np.abs(sums) > ROW_SUM_TOL)):
+            errs += [f"negative off-diagonal rate at ({i},{j}): {m[i, j]}"
+                     for j in np.flatnonzero(negative[i])]
+            if abs(sums[i]) > ROW_SUM_TOL:
+                errs.append(f"row {i} sums to {sums[i]:.6g}")
         return errs
 
     def holding_rates(self) -> np.ndarray:

@@ -13,25 +13,28 @@ same bits as a run in this process.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import reduce
 from typing import ClassVar
 
 import numpy as np
 
-from rsmerton.core_model import RegimeGenerator
-from rsmerton.ode_engine import BLOCK_ELEMENTS, interp_by_state
+from rsmerton.core_model import RegimeGenerator, SpecValidationError
+from rsmerton.ode_engine import BLOCK_ELEMENTS, can_fork_worker, enter_worker, interp_by_state
 from rsmerton.reporting import MCReport
 
 CHAIN_SUBSTREAM = 0
 DIFFUSION_SUBSTREAM = 1
-# Work, in path-cells summed over the jobs, from which ensemble_map forks
-# workers. Two workers save at most half the serial time, so a pool pays from
-# twice its fixed cost (fork, imports, pickling, join: at most 21 ms measured)
-# at the fastest walk (2.5e7 path-cells/s): 1.05e6, doubled for margin
-# (README, "Independent ensembles").
+# Work, in path-cells, from which ensemble_map forks workers. Two workers save
+# at most half the serial time, so a pool pays from twice its fixed cost (fork,
+# imports, pickling, join: at most 21 ms measured) at the fastest walk (2.5e7
+# path-cells/s): 1.05e6, doubled for margin. Each job also costs a fixed
+# time before its first path-cell (sampling set-up, per-state tables): 1.8 ms
+# measured at S = 2 and 1.2 ms at S = 32, so it counts as the larger at the
+# fastest walk, 4.5e4 path-cells, rounded up to POOL_JOB_PATH_CELLS (README,
+# "Independent ensembles").
 POOL_MIN_PATH_CELLS = 2**21
+POOL_JOB_PATH_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,33 +65,35 @@ def ensemble_map(fn, jobs: list, path_cells: int) -> list:
 
     fn must be a module-level function, each job a tuple of picklable
     arguments, and each job must derive its random generators from its own
-    arguments, so that both paths give the same bits. From POOL_MIN_PATH_CELLS
-    of work (path_cells, summed over the jobs) the jobs run in min(available
-    CPUs, jobs) forked workers, one job at a time each, and every worker is
-    joined before the call returns, on the error path too; a job's exception
-    reaches the caller as the serial path raises it. The jobs run here, in
-    order, below the break-even, with fewer than 2 workers, while another
-    thread is alive, in a daemonic process, or where the platform cannot fork.
+    arguments, so that both paths give the same bits. The work is path_cells
+    (summed over the jobs) plus POOL_JOB_PATH_CELLS for each job; from
+    POOL_MIN_PATH_CELLS of it the jobs run in min(available CPUs, jobs) forked
+    workers, one job at a time each, and every worker is joined before the
+    call returns, on the error path too; a job's exception reaches the caller
+    as the serial path raises it. The jobs run here, in order, below the
+    break-even, for a single job, or where ode_engine.can_fork_worker says no.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(affinity(0)), len(jobs)) if affinity else 1
-    if workers < 2 or path_cells < POOL_MIN_PATH_CELLS or threading.active_count() > 1:
+    work = path_cells + len(jobs) * POOL_JOB_PATH_CELLS
+    if len(jobs) < 2 or work < POOL_MIN_PATH_CELLS or not can_fork_worker():
         return [fn(*job) for job in jobs]
     import multiprocessing
-
-    if multiprocessing.current_process().daemon or (
-        "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return [fn(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=enter_worker) as pool:
         try:
             return list(pool.map(fn, *zip(*jobs), chunksize=1))
         except BaseException:
             pool.shutdown(cancel_futures=True)  # the with block then joins the workers
             raise
+
+
+def _checked(generator: RegimeGenerator) -> RegimeGenerator:
+    """The generator, or SpecValidationError listing every one of its violations."""
+    if errs := generator.violations():
+        raise SpecValidationError(errs)
+    return generator
 
 
 def _transition_tables(generator: RegimeGenerator):
@@ -147,9 +152,11 @@ def sample_skeletons(
     """Vectorized Gillespie sampling of n_paths trajectories on [t_start, horizon].
 
     Draw order is fixed (one exponential round, one uniform round per jump
-    level across all paths), so results are reproducible per RngSpec.
+    level across all paths), so results are reproducible per RngSpec. A
+    generator with violations() is refused with SpecValidationError, here and
+    in stationary_distribution and dynkin_check.
     """
-    hold, pcum = _transition_tables(generator)
+    hold, pcum = _transition_tables(_checked(generator))
     S = pcum.shape[0]
     if not 0 <= initial < S:
         raise IndexError(f"state {initial} outside [0, {S}) of the generator")
@@ -306,7 +313,7 @@ def occupation_times(skel: JumpSkeletons, n_states: int | None = None) -> np.nda
 
 def stationary_distribution(generator: RegimeGenerator) -> np.ndarray:
     """Probability vector pi with pi @ rates = 0 (within 1e-10) for an irreducible chain."""
-    closed = _closed_classes(generator)
+    closed = _closed_classes(_checked(generator))
     S = generator.n_states
     if closed is not None:
         raise ValueError(
@@ -357,6 +364,7 @@ def dynkin_check(
     Along each path, M(T) = G(J_T) - G(J_0) - integral of (rates @ G)(J_u) du.
     The sample mean of M(T) is reported against target 0.
     """
+    _checked(generator)
     if n_paths < 1000:
         raise ValueError("dynkin_check needs at least 1e3 paths")
     G = np.asarray(test_fn, dtype=float)

@@ -12,10 +12,18 @@ derivative not finite) are found once per block of steps by one vectorised
 test, so rhs may see the rest of a block past a failure. A failing block is
 rescanned in sweep order and raises the OdeDomainError (stage time, component,
 value, reason) a check of each stage in turn would raise.
+
+The two sweeps of a step-halving round do not depend on each other, so
+step_halving runs the finer one in a forked child where that pays and is safe
+(can_fork_worker), with the serial loop's tables and errors.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -28,6 +36,13 @@ BLOCK_STEPS = 128  # steps whose stages rk4_solve checks with one test
 # Entries of one block's arrays (affine_rk4_solve's step maps, ctmc.cell_blocks'
 # (cells, paths) arrays): amortises per-block work, keeps temporaries small.
 BLOCK_ELEMENTS = 2**15
+# Steps of this process's own sweep from which step_halving forks a child to
+# sweep the next grid beside it: the fastest sweep per step (the log branch's
+# affine pair) loses at 512 steps and gains at 1024 on 2 CPUs (README,
+# "Independent ensembles").
+HALVING_MIN_STEPS = 1024
+
+_in_worker = False  # set in a forked child, which never forks again
 
 
 class OdeDomainError(RuntimeError):
@@ -246,21 +261,136 @@ def solve_terminal_ode(
 
 
 def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int = MAX_STEPS):
-    """solve_terminal_ode's error control around sweep(n_steps) -> SolutionTable."""
+    """solve_terminal_ode's error control around sweep(n_steps) -> SolutionTable.
+
+    The serial loop sweeps n, 2n, 4n, ... and compares each grid with the one
+    before. Where this process's own sweep has HALVING_MIN_STEPS steps and a
+    worker may be forked (can_fork_worker), a forked child sweeps the next
+    grid beside it: 2n beside n, then, after each failed comparison, the
+    level after next beside the next. A child whose level the serial loop
+    would not reach is killed. The result, and any error, is the serial
+    loop's: an error from this process's sweep comes first, a child's is
+    raised only where the serial loop would sweep that level, and no level
+    beyond max_steps but the first two is swept. Every child is reaped
+    before the call returns or raises.
+    """
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
-    coarse = sweep(n_steps)
-    while True:
-        fine = sweep(2 * n_steps)
-        err = float(np.abs(fine.values[::2] - coarse.values).max())
-        if err <= tol:
-            return fine
-        n_steps *= 2
-        if 2 * n_steps > max_steps:
-            raise OdeConvergenceError(
-                f"step-halving error {err:.3e} > {tol:.1e} at cap {max_steps} steps"
-            )
-        coarse = fine
+
+    def fork(level):  # a child sweeping level while this process sweeps level // 2
+        if level // 2 < HALVING_MIN_STEPS or not can_fork_worker():
+            return None
+        try:
+            return _Child(sweep, level)
+        except OSError:  # no process or pipe to be had: sweep here
+            return None
+
+    child = fork(2 * n_steps)
+    try:
+        coarse = sweep(n_steps)
+        while True:
+            if child is None:
+                child = fork(4 * n_steps) if 4 * n_steps <= max_steps else None
+                fine = sweep(2 * n_steps)
+            else:
+                pending, child = child, None
+                fine = pending.result()
+            err = float(np.abs(fine.values[::2] - coarse.values).max())
+            if err <= tol:
+                return fine
+            n_steps *= 2
+            if 2 * n_steps > max_steps:
+                raise OdeConvergenceError(
+                    f"step-halving error {err:.3e} > {tol:.1e} at cap {max_steps} steps"
+                )
+            coarse = fine
+    finally:
+        if child is not None:
+            child.kill()
+
+
+def can_fork_worker() -> bool:
+    """Whether a forked worker can run beside this process, safely.
+
+    It needs at least 2 available CPUs, no other thread alive (forking a
+    threaded process is unsafe), the fork start method, and a process that is
+    not itself a worker: not a step_halving child or an ensemble_map worker
+    (enter_worker), not a daemonic multiprocessing process. Shared by
+    step_halving and ctmc.ensemble_map.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if _in_worker or affinity is None or len(affinity(0)) < 2 or threading.active_count() > 1:
+        return False
+    import multiprocessing
+
+    return not multiprocessing.current_process().daemon and (
+        "fork" in multiprocessing.get_all_start_methods()
+    )
+
+
+def enter_worker():
+    """Mark this process as a forked worker, in which can_fork_worker says no."""
+    global _in_worker
+    _in_worker = True
+
+
+class _Child:
+    """sweep(level) in a forked child, which pickles back its table or its exception."""
+
+    def __init__(self, sweep, level: int):
+        self.sweep, self.level = sweep, level
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid:
+            os.close(write)
+            self.pipe = read
+            return
+        try:  # the child: never returns into the caller's code
+            enter_worker()
+            os.close(read)
+            with os.fdopen(write, "wb") as f:
+                try:
+                    table = sweep(level)
+                except BaseException as e:
+                    try:
+                        data = pickle.dumps((False, e))
+                    except Exception:  # an exception that cannot be pickled comes back as its repr
+                        data = pickle.dumps((False, RuntimeError(repr(e))))
+                    f.write(data)
+                else:  # streamed, so neither side holds a second copy of the table
+                    pickle.dump((True, table), f, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+
+    def result(self) -> SolutionTable:
+        """The child's table, or its exception raised here; the child is reaped.
+
+        A child that ends without a whole result (killed, say) leaves its
+        level to be swept here, as the serial loop would.
+        """
+        try:
+            with os.fdopen(self.pipe, "rb") as f:
+                ok, out = pickle.load(f)
+        except (EOFError, pickle.UnpicklingError):
+            ok, out = True, None
+        except BaseException:
+            os.kill(self.pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(self.pid, 0)
+        if not ok:
+            raise out
+        return self.sweep(self.level) if out is None else out
+
+    def kill(self):
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self.pipe)
 
 
 def residual_norm(system: OdeSystem, table: SolutionTable) -> float:

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from rsmerton import ctmc
-from rsmerton.core_model import RegimeGenerator
+from rsmerton.core_model import RegimeGenerator, SpecValidationError
 from rsmerton.ctmc import (
     JumpSkeletons,
     RngSpec,
@@ -252,3 +252,33 @@ class TestDynkinCheck:
         assert rep.seed == 13
         assert rep.stream == 4
         assert rep.n_paths == 2000
+
+
+class TestInvalidGeneratorRefused:
+    """A generator whose violations() is not empty reaches no sampling or solve."""
+
+    NEGATIVE = RegimeGenerator([[1.0, -1.0], [2.0, -2.0]])
+
+    def test_dynkin_check(self):
+        with pytest.raises(SpecValidationError, match=r"negative off-diagonal rate at \(0,1\)"):
+            dynkin_check(self.NEGATIVE, [0, 1], 1.0, 1000, RngSpec(seed=1))
+
+    def test_sample_skeletons(self):
+        with pytest.raises(SpecValidationError, match=r"\(0,1\)"):
+            sample_skeletons(self.NEGATIVE, 0, 0.0, 1.0, 10, RngSpec(seed=1))
+
+    def test_stationary_distribution(self):
+        with pytest.raises(SpecValidationError, match=r"\(0,1\)"):
+            stationary_distribution(self.NEGATIVE)
+
+    def test_every_violation_listed(self):
+        gen = RegimeGenerator([[-1.0, 2.0, -1.0], [0.5, -0.5, 0.0], [1.0, 1.0, -3.0]])
+        with pytest.raises(SpecValidationError) as e:
+            sample_skeletons(gen, 0, 0.0, 1.0, 10, RngSpec(seed=1))
+        assert e.value.violations == gen.violations() == [
+            "negative off-diagonal rate at (0,2): -1.0", "row 2 sums to -1"]
+
+    def test_non_finite_rate(self):
+        with pytest.raises(SpecValidationError, match=r"generator\[1\]\[0\] must be finite"):
+            sample_skeletons(RegimeGenerator([[-1.0, 1.0], [np.nan, -1.0]]), 0, 0.0, 1.0, 10,
+                             RngSpec(seed=1))

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rsmerton import cli, ctmc
+from rsmerton import cli, ctmc, ode_engine
 from rsmerton.cli import ExperimentConfig, benchmark_spec
 from rsmerton.core_model import SpecValidationError
 from rsmerton.ctmc import RngSpec, ensemble_map
@@ -27,6 +27,10 @@ SERIAL = 2**62
 
 def _pid(k):
     return k, os.getpid()
+
+
+def _can_fork(k):
+    return k, ode_engine.can_fork_worker()
 
 
 def _raise_at_one(k, exc):
@@ -94,10 +98,21 @@ class TestSameBits:
         monkeypatch.setattr(ctmc, "POOL_MIN_PATH_CELLS", SERIAL)
         assert cli._mc_value_check(spec, sol, config) == fork
 
+    def test_each_jobs_fixed_cost_counts_toward_the_break_even(self, pooled, monkeypatch):
+        monkeypatch.setattr(ctmc, "POOL_MIN_PATH_CELLS", 3 * ctmc.POOL_JOB_PATH_CELLS)
+        out = ensemble_map(_pid, [(k,) for k in range(3)], 0)
+        assert pooled == [2]
+        assert os.getpid() not in {pid for _, pid in out}
+
     def test_jobs_run_in_workers_in_job_order(self, pooled):
         out = ensemble_map(_pid, [(k,) for k in range(5)], 1)
         assert [k for k, _ in out] == list(range(5))
         assert os.getpid() not in {pid for _, pid in out}
+
+    def test_a_worker_cannot_fork(self, pooled):
+        # two CPUs and no other thread in the worker too: its mark alone says no
+        assert ensemble_map(_can_fork, [(k,) for k in range(2)], 1) == [(0, False), (1, False)]
+        assert pooled == [2] and ode_engine.can_fork_worker()
 
 
 class TestNoWorkerLeft:
@@ -134,7 +149,7 @@ class TestWorkerCount:
         asked = []
 
         class Fake:
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers, **kwargs):
                 asked.append(max_workers)
 
             def __enter__(self):
@@ -169,7 +184,8 @@ class TestSerialFallbacks:
     HERE = [(k, os.getpid()) for k in range(3)]
 
     def test_below_the_break_even(self, no_pool, monkeypatch):
-        monkeypatch.setattr(ctmc, "POOL_MIN_PATH_CELLS", 10)
+        # the work is the path-cells plus each job's fixed cost
+        monkeypatch.setattr(ctmc, "POOL_MIN_PATH_CELLS", 10 + 3 * ctmc.POOL_JOB_PATH_CELLS)
         assert ensemble_map(_pid, self.JOBS, 9) == self.HERE
 
     def test_one_job(self, no_pool):
