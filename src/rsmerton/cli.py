@@ -310,7 +310,7 @@ def _mc_value_check(spec, solution, config) -> dict:
     """
     strategy = ProportionalStrategy.from_policy(solution)
     jobs = [(strategy, spec, i, config.paths, config.grid, config.seed) for i in range(spec.states)]
-    path_cells = spec.states * config.paths * config.grid
+    path_cells = [config.paths * config.grid] * spec.states
     rows = []
     passed = True
     for i, (frozen, rep) in enumerate(ensemble_map(_mc_state, jobs, path_cells)):

@@ -6,7 +6,7 @@ lambda_ij / (-lambda_ii). Chain noise and diffusion noise elsewhere in the
 package come from separately derived substreams of one master seed, so the
 chain and the Brownian motion are independent by construction. Every
 ensemble derives its generators from its own (seed, stream, substream), so
-independent ensembles can run in forked workers (ensemble_map) and give the
+independent ensembles can run in forked children (ensemble_map) and give the
 same bits as a run in this process.
 """
 
@@ -14,25 +14,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import ClassVar
 
 import numpy as np
 
 from rsmerton.core_model import RegimeGenerator, SpecValidationError
-from rsmerton.ode_engine import BLOCK_ELEMENTS, can_fork_worker, enter_worker, interp_by_state
+from rsmerton import ode_engine
+from rsmerton.ode_engine import BLOCK_ELEMENTS, can_fork_worker, interp_by_state
 from rsmerton.reporting import MCReport
 
 CHAIN_SUBSTREAM = 0
 DIFFUSION_SUBSTREAM = 1
-# Work, in path-cells, from which ensemble_map forks workers. Two workers save
-# at most half the serial time, so a pool pays from twice its fixed cost (fork,
-# imports, pickling, join: at most 21 ms measured) at the fastest walk (2.5e7
-# path-cells/s): 1.05e6, doubled for margin. Each job also costs a fixed
-# time before its first path-cell (sampling set-up, per-state tables): 1.8 ms
-# measured at S = 2 and 1.2 ms at S = 32, so it counts as the larger at the
-# fastest walk, 4.5e4 path-cells, rounded up to POOL_JOB_PATH_CELLS (README,
-# "Independent ensembles").
+# Work, in path-cells, from which ensemble_map forks. Two children save at most
+# half the serial time, so forking pays from twice its fixed cost at the fastest
+# walk (2.5e7 path-cells/s): 2^21 covers 21 ms with a 2x margin, and two forks
+# cost at most 8 ms. Each job also costs a fixed time before its first
+# path-cell (sampling set-up, per-state tables), at most 1.8 ms, counted as 4.5e4
+# path-cells, rounded up (README, "Independent ensembles").
 POOL_MIN_PATH_CELLS = 2**21
 POOL_JOB_PATH_CELLS = 2**16
 
@@ -60,33 +59,41 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def ensemble_map(fn, jobs: list, path_cells: int) -> list:
-    """[fn(*job) for job in jobs], in job order, in forked workers when the work pays.
+def ensemble_map(fn, jobs: list, path_cells: list) -> list:
+    """[fn(*job) for job in jobs], in job order, in forked children when the work pays.
 
-    fn must be a module-level function, each job a tuple of picklable
-    arguments, and each job must derive its random generators from its own
-    arguments, so that both paths give the same bits. The work is path_cells
-    (summed over the jobs) plus POOL_JOB_PATH_CELLS for each job; from
-    POOL_MIN_PATH_CELLS of it the jobs run in min(available CPUs, jobs) forked
-    workers, one job at a time each, and every worker is joined before the
-    call returns, on the error path too; a job's exception reaches the caller
-    as the serial path raises it. The jobs run here, in order, below the
-    break-even, for a single job, or where ode_engine.can_fork_worker says no.
+    Each job derives its random generators from its own arguments, so both
+    paths give the same bits. From POOL_MIN_PATH_CELLS of work, path_cells[k]
+    plus POOL_JOB_PATH_CELLS for each job k, the jobs are cut into min(available
+    CPUs, jobs) contiguous shares of about equal work, none empty, each run by
+    a forked child (ode_engine.Forked) that inherits fn and the jobs. Collected
+    in job order, the first share that raises holds the serial loop's error;
+    every child is killed and reaped on every exit. The jobs run here below the
+    break-even, for one job, where can_fork_worker says no or a fork fails.
     """
-    work = path_cells + len(jobs) * POOL_JOB_PATH_CELLS
-    if len(jobs) < 2 or work < POOL_MIN_PATH_CELLS or not can_fork_worker():
-        return [fn(*job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=enter_worker) as pool:
-        try:
-            return list(pool.map(fn, *zip(*jobs), chunksize=1))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # the with block then joins the workers
+    def run(share):
+        return [fn(*job) for job in share]
+
+    work = np.asarray(path_cells) + POOL_JOB_PATH_CELLS
+    if len(jobs) < 2 or work.sum() < POOL_MIN_PATH_CELLS or not can_fork_worker():
+        return run(jobs)
+    n, m = len(jobs), min(len(os.sched_getaffinity(0)), len(jobs))
+    done, a, children = np.cumsum(work), 0, []
+    try:  # this process runs no share
+        for w in range(1, m + 1):  # a share up to the job whose running work is nearest w / m of it
+            b = int(np.abs(done - done[-1] * w / m).argmin()) + 1
+            b = min(max(b, a + 1), n - m + w)  # no share empty
+            children.append(ode_engine.Forked(partial(run, jobs[a:b])))
+            a = b
+        return [value for child in children for value in child.result()]
+    except OSError:
+        if len(children) == m:  # a job's own error
             raise
+    finally:
+        for child in children:
+            child.kill()
+    return run(jobs)  # no process or pipe to be had: the jobs run here, alone
 
 
 def _checked(generator: RegimeGenerator) -> RegimeGenerator:

@@ -310,20 +310,20 @@ def picard_apply(
     gp_grid = g_candidate.grid
     gp_tab = np.power(g_candidate.values, gamma / (gamma - 1.0))
 
-    points, jobs, cells = [], [], 0  # one independent ensemble per (t, i) before T
+    points, jobs, path_cells = [], [], []  # one independent ensemble per (t, i) before T
     for pt, t0 in enumerate(eval_times):
         if t0 >= T:
             continue
         n_cells = max(8, int(round(quad_cells * (T - t0) / T)))
         edges = np.linspace(t0, T, n_cells + 1)
-        cells += S * n_cells
         for i in range(S):
             points.append((pt, i))
             jobs.append((spec, gamma, gp_grid, gp_tab, i, t0, edges, n_paths, rng,
                          (CHAIN_SUBSTREAM, pt * S + i)))
+            path_cells.append(n_paths * n_cells)
     values = np.ones((eval_times.size, S))  # K(T)=1, empty integral
     stderr = np.zeros((eval_times.size, S))
-    for (pt, i), samples in zip(points, ensemble_map(_picard_path_values, jobs, n_paths * cells)):
+    for (pt, i), samples in zip(points, ensemble_map(_picard_path_values, jobs, path_cells)):
         values[pt, i] = samples.mean()
         stderr[pt, i] = samples.std(ddof=1) / np.sqrt(n_paths)
     return PicardEstimate(

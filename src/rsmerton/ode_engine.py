@@ -14,8 +14,9 @@ rescanned in sweep order and raises the OdeDomainError (stage time, component,
 value, reason) a check of each stage in turn would raise.
 
 The two sweeps of a step-halving round do not depend on each other, so
-step_halving runs the finer one in a forked child where that pays and is safe
-(can_fork_worker), with the serial loop's tables and errors.
+step_halving runs the finer one in a forked child (Forked, as ctmc.ensemble_map
+does) where that pays and is safe (can_fork_worker), with the serial loop's
+tables and errors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -281,7 +283,7 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
         if level // 2 < HALVING_MIN_STEPS or not can_fork_worker():
             return None
         try:
-            return _Child(sweep, level)
+            return Forked(partial(sweep, level))
         except OSError:  # no process or pipe to be had: sweep here
             return None
 
@@ -293,8 +295,7 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
                 child = fork(4 * n_steps) if 4 * n_steps <= max_steps else None
                 fine = sweep(2 * n_steps)
             else:
-                pending, child = child, None
-                fine = pending.result()
+                fine, child = child.result(), None
             err = float(np.abs(fine.values[::2] - coarse.values).max())
             if err <= tol:
                 return fine
@@ -314,9 +315,8 @@ def can_fork_worker() -> bool:
 
     It needs at least 2 available CPUs, no other thread alive (forking a
     threaded process is unsafe), the fork start method, and a process that is
-    not itself a worker: not a step_halving child or an ensemble_map worker
-    (enter_worker), not a daemonic multiprocessing process. Shared by
-    step_halving and ctmc.ensemble_map.
+    not itself a worker: not a Forked child, not a daemonic multiprocessing
+    process. Shared by step_halving and ctmc.ensemble_map.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if _in_worker or affinity is None or len(affinity(0)) < 2 or threading.active_count() > 1:
@@ -328,17 +328,15 @@ def can_fork_worker() -> bool:
     )
 
 
-def enter_worker():
-    """Mark this process as a forked worker, in which can_fork_worker says no."""
-    global _in_worker
-    _in_worker = True
+class Forked:
+    """fn() in a forked child, which inherits fn and pickles back its value or exception.
 
+    The child never forks again (can_fork_worker). Construction raises OSError
+    where no process or pipe is to be had.
+    """
 
-class _Child:
-    """sweep(level) in a forked child, which pickles back its table or its exception."""
-
-    def __init__(self, sweep, level: int):
-        self.sweep, self.level = sweep, level
+    def __init__(self, fn):
+        self.fn = fn
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -348,49 +346,43 @@ class _Child:
             raise
         if self.pid:
             os.close(write)
-            self.pipe = read
+            self.pipe = os.fdopen(read, "rb")
             return
         try:  # the child: never returns into the caller's code
-            enter_worker()
+            global _in_worker
+            _in_worker = True
             os.close(read)
             with os.fdopen(write, "wb") as f:
                 try:
-                    table = sweep(level)
+                    out = True, fn()
                 except BaseException as e:
-                    try:
-                        data = pickle.dumps((False, e))
-                    except Exception:  # an exception that cannot be pickled comes back as its repr
-                        data = pickle.dumps((False, RuntimeError(repr(e))))
-                    f.write(data)
-                else:  # streamed, so neither side holds a second copy of the table
-                    pickle.dump((True, table), f, pickle.HIGHEST_PROTOCOL)
+                    out = False, e
+                pickle.dump(out, f, pickle.HIGHEST_PROTOCOL)  # streamed: no second copy either side
         finally:
             os._exit(0)
 
-    def result(self) -> SolutionTable:
-        """The child's table, or its exception raised here; the child is reaped.
+    def result(self):
+        """fn()'s value, or its exception raised here, once the child is reaped.
 
-        A child that ends without a whole result (killed, say) leaves its
-        level to be swept here, as the serial loop would.
+        Where the child leaves no result that loads whole (it was killed, say,
+        or pickle cannot carry what fn gave), fn runs here instead.
         """
         try:
-            with os.fdopen(self.pipe, "rb") as f:
-                ok, out = pickle.load(f)
-        except (EOFError, pickle.UnpicklingError):
-            ok, out = True, None
-        except BaseException:
-            os.kill(self.pid, signal.SIGKILL)
-            raise
+            ok, value = pickle.load(self.pipe)
+        except Exception:  # whatever the stream's fault, a serial caller would run fn here
+            ok = value = None
         finally:
-            os.waitpid(self.pid, 0)
-        if not ok:
-            raise out
-        return self.sweep(self.level) if out is None else out
+            self.kill()
+        if ok is False:
+            raise value
+        return value if ok else self.fn()
 
     def kill(self):
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        os.close(self.pipe)
+        """Kill and reap the child, and close its pipe; a no-op once done."""
+        if not self.pipe.closed:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pipe.close()
 
 
 def residual_norm(system: OdeSystem, table: SolutionTable) -> float:

@@ -1,6 +1,11 @@
+import errno
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from rsmerton import ctmc, ode_engine
 from rsmerton.core_model import MarketSpec, RegimeGenerator
 
 BENCH_GENERATOR = [[-6.04, 6.04], [10.9, -10.9]]
@@ -42,3 +47,61 @@ def bench_spec():
 def const_rho_spec():
     """Same market with a common discount rate (subgame and optimal coincide)."""
     return make_spec(rho=(0.9, 0.9))
+
+
+def assert_no_child_left():
+    """No child of this process is left, reaped or not; a raw os.fork child counts too."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_anything(monkeypatch, forked_class):
+    """Both fork sites fork whatever their work, on two available CPUs, through forked_class."""
+    monkeypatch.setattr(ctmc, "POOL_MIN_PATH_CELLS", 0)
+    monkeypatch.setattr(ode_engine, "HALVING_MIN_STEPS", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ode_engine, "Forked", forked_class)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Fork any work on two CPUs; the list of the thunks the children run, in fork order.
+
+    step_halving forks partial(sweep, level), ensemble_map partial(run, share).
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the platform cannot fork")
+    calls = []
+
+    class Recording(ode_engine.Forked):
+        def __init__(self, fn):
+            calls.append(fn)
+            super().__init__(fn)
+
+    _fork_anything(monkeypatch, Recording)
+    return calls
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """As forked would, but fail the test if anything forks."""
+
+    class Refused:
+        def __init__(self, fn):
+            raise AssertionError("a call was forked")
+
+    _fork_anything(monkeypatch, Refused)
+
+
+@pytest.fixture
+def second_fork_fails(forked, monkeypatch):
+    """forked, but every fork after the first fails as a full process table makes it fail."""
+
+    class SecondFails(ode_engine.Forked):  # the recording class
+        def __init__(self, fn):
+            if forked:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            super().__init__(fn)
+
+    monkeypatch.setattr(ode_engine, "Forked", SecondFails)
+    return forked

@@ -15,7 +15,7 @@ import numpy as np
 
 from rsmerton.cli import benchmark_spec, reproduce_fig1, slope_certificate
 from rsmerton.core_model import RegimeGenerator
-from rsmerton.ctmc import RngSpec, dynkin_check, stationary_distribution
+from rsmerton.ctmc import RngSpec, dynkin_check, ensemble_map, stationary_distribution
 from rsmerton.equilibrium import (
     merton_closed_form,
     picard_apply,
@@ -24,7 +24,7 @@ from rsmerton.equilibrium import (
     solve_log,
     value_at,
 )
-from rsmerton.simulate import ProportionalStrategy, estimate_J, feynman_kac_value
+from rsmerton.simulate import DEFAULT_PATH_GRID, ProportionalStrategy, estimate_J, feynman_kac_value
 from tests.conftest import make_spec
 
 BENCH_GAMMAS = (0.7, 0.0, -0.5, -1.0)
@@ -139,8 +139,14 @@ def test_criterion_7_value_identity():
     # e^{-int rho(J_u) du}; estimate_J freezes the discount at rho_i. The two
     # coincide when all regimes share one rate, so the identity is checked on
     # such a market: deterministically (frozen Feynman-Kac table == g) and by
-    # Monte Carlo (J within 3 stderr of the ansatz in both states).
-    rows = []
+    # Monte Carlo (J within 3 stderr of the ansatz in both states). The four
+    # estimate_J ensembles are independent, so ensemble_map may fork them.
+    def value_identity(gamma, i, strat, spec, target):
+        rep = estimate_J(strat, 0.0, 1.0, i, spec, 100_000,
+                         RngSpec(seed=20260811, stream=40 + i), target=target)
+        return gamma, i, rep.estimate, rep.stderr, target, rep.z_score
+
+    jobs = []
     fk_dev = 0.0
     distinct = True
     with Clock() as c:
@@ -153,12 +159,8 @@ def test_criterion_7_value_identity():
                 fk.table.values - sol.g_table.interpolate(fk.table.grid)).max()))
             targets = [value_at(sol, 0.0, 1.0, i) for i in range(2)]
             distinct &= abs(targets[0] - targets[1]) > 1e-3 * abs(targets[0])
-            for i in range(2):
-                rep = estimate_J(
-                    strat, 0.0, 1.0, i, spec, 100_000,
-                    RngSpec(seed=20260811, stream=40 + i), target=targets[i],
-                )
-                rows.append((gamma, i, rep.estimate, rep.stderr, targets[i], rep.z_score))
+            jobs += [(gamma, i, strat, spec, targets[i]) for i in range(2)]
+        rows = ensemble_map(value_identity, jobs, [100_000 * DEFAULT_PATH_GRID] * len(jobs))
     worst = max(abs(r[5]) for r in rows)
     # With regime-dependent rates the identity does not hold: on the
     # benchmark the ansatz and the frozen-discount value part by over 10%.

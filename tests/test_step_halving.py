@@ -1,8 +1,9 @@
 """Step halving with each round's sweeps at once (ode_engine.step_halving): the serial loop's bits and errors.
 
-Forking is forced by moving the break-even, HALVING_MIN_STEPS, and pinning
-the available CPUs to two; a huge break-even keeps every sweep in this
-process. A recording _Child lists the grid each forked child sweeps.
+The shared fixtures (conftest) force each path: forked moves the break-even,
+HALVING_MIN_STEPS, to 16, pins the available CPUs to two and records each
+forked call, no_fork fails the test if anything forks, and a huge break-even
+keeps every sweep in this process.
 """
 
 import importlib.util
@@ -30,6 +31,7 @@ from rsmerton.ode_engine import (
     rk4_solve,
     step_halving,
 )
+from tests.conftest import assert_no_child_left
 
 SERIAL = 2**62
 
@@ -42,40 +44,9 @@ def _workloads():
     return module
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """Fork from 16 steps on two CPUs; the list of grids the children sweep."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the platform cannot fork")
-    levels = []
-
-    class Recording(ode_engine._Child):
-        def __init__(self, sweep, level):
-            levels.append(level)
-            super().__init__(sweep, level)
-
-    monkeypatch.setattr(ode_engine, "HALVING_MIN_STEPS", 16)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(ode_engine, "_Child", Recording)
-    return levels
-
-
-@pytest.fixture
-def no_fork(monkeypatch):
-    """Fail the test if step_halving forks."""
-
-    class Refused:
-        def __init__(self, *args):
-            raise AssertionError("a child was forked")
-
-    monkeypatch.setattr(ode_engine, "HALVING_MIN_STEPS", 16)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(ode_engine, "_Child", Refused)
+def levels(calls):
+    """The grid each forked child sweeps: step_halving forks partial(sweep, level)."""
+    return [fn.args[0] for fn in calls]
 
 
 def serially(monkeypatch, fn):
@@ -117,9 +88,9 @@ class TestSameBits:
     def test_benchmark_at_gamma_minus_one(self, forked, monkeypatch):
         spec = benchmark_spec(-1.0)
         fork = solve_g(spec).table
-        assert forked == [4096]
+        assert levels(forked) == [4096]
         here = serially(monkeypatch, lambda: solve_g(spec).table)
-        assert forked == [4096]
+        assert levels(forked) == [4096]
         assert fork.grid.size == 4097 and same_table(fork, here)
         assert_no_child_left()
 
@@ -128,7 +99,7 @@ class TestSameBits:
         spec = market_spec_from_json(json.dumps(doc))
         fork = solve_g(spec).table
         # 2048 here beside 4096 forked, then 8192 here beside 16384 forked
-        assert forked == [4096, 16384]
+        assert levels(forked) == [4096, 16384]
         here = serially(monkeypatch, lambda: solve_g(spec).table)
         assert fork.grid.size == 16385 and same_table(fork, here)
         assert_no_child_left()
@@ -136,7 +107,7 @@ class TestSameBits:
     def test_cancelled_speculation(self, forked, monkeypatch):
         sweep = FakeSweep()
         fork = step_halving(sweep, 16, tol=0.02)  # (16, 32) errs by 1/32, (32, 64) by 1/64
-        assert forked == [32, 128] and sweep.swept == [16, 64]
+        assert levels(forked) == [32, 128] and sweep.swept == [16, 64]
         assert_no_child_left()
         here = serially(monkeypatch, lambda: step_halving(FakeSweep(), 16, tol=0.02))
         assert fork.grid.size == 65 and same_table(fork, here)
@@ -151,10 +122,19 @@ class TestSameBits:
             return fake(n)
 
         fork = step_halving(sweep, 16, tol=0.02)
-        assert forked == [32, 128] and fake.swept == [16, 32, 64]
+        assert levels(forked) == [32, 128] and fake.swept == [16, 32, 64]
         assert_no_child_left()
         here = serially(monkeypatch, lambda: step_halving(FakeSweep(), 16, tol=0.02))
         assert same_table(fork, here)
+
+    def test_a_failed_fork(self, second_fork_fails, monkeypatch):
+        # the child at 32 forks, then no fork can be had: 64 and 128 are swept here
+        sweep = FakeSweep()
+        fork = step_halving(sweep, 16, tol=0.01)
+        assert levels(second_fork_fails) == [32] and sweep.swept == [16, 64, 128]
+        assert_no_child_left()
+        here = serially(monkeypatch, lambda: step_halving(FakeSweep(), 16, tol=0.01))
+        assert fork.grid.size == 129 and same_table(fork, here)
 
 
 class TestSameErrors:
@@ -175,7 +155,7 @@ class TestSameErrors:
     def test_speculative_failure_unreached_is_not_raised(self, forked):
         # (32, 64) passes, so the serial loop never sweeps 128
         table = step_halving(FakeSweep({128}), 16, tol=0.02)
-        assert forked == [32, 128] and table.grid.size == 65
+        assert levels(forked) == [32, 128] and table.grid.size == 65
         assert_no_child_left()
 
     def test_rk4_domain_errors_in_the_coarse_and_the_fine_sweep(self, forked, monkeypatch):
@@ -192,7 +172,7 @@ class TestSameErrors:
                 lambda: step_halving(lambda n: rk4_solve(system(bad_time), n), 16)))
             assert fork == here
             assert fork[1] == str(serial_error.value)
-        assert forked == [32, 32]
+        assert levels(forked) == [32, 32]
         assert_no_child_left()
 
     def test_convergence_message_at_the_cap(self, forked, monkeypatch):
@@ -201,7 +181,7 @@ class TestSameErrors:
             lambda: step_halving(FakeSweep(), 16, tol=1e-6, max_steps=128)))
         assert fork == here
         assert fork[1] == "step-halving error 7.812e-03 > 1.0e-06 at cap 128 steps"
-        assert max(forked) <= 128  # no level beyond the cap is swept
+        assert max(levels(forked)) <= 128  # no level beyond the cap is swept
         assert_no_child_left()
 
     def test_rk4_convergence_message_at_the_cap(self, forked, monkeypatch):
@@ -211,7 +191,7 @@ class TestSameErrors:
         here = serially(monkeypatch, lambda: outcome(
             lambda: ode_engine.solve_terminal_ode(system, 16, tol=0.0, max_steps=64)))
         assert fork == here and fork[0] is OdeConvergenceError
-        assert forked == [32]  # 128 is beyond the cap, so 64 is swept here alone
+        assert levels(forked) == [32]  # 128 is beyond the cap, so 64 is swept here alone
         assert_no_child_left()
 
 
@@ -256,6 +236,6 @@ class TestSerialFallbacks:
                                  np.full((n + 1, 1), float(can_fork_worker())))
 
         table = step_halving(sweep, 16, tol=np.inf)
-        assert forked == [32] and (table.values == 0.0).all()
+        assert levels(forked) == [32] and (table.values == 0.0).all()
         assert can_fork_worker()
         assert_no_child_left()
