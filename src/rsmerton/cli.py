@@ -42,7 +42,7 @@ from rsmerton.simulate import (
     perturbation_menu,
 )
 
-SOLVER_VERSION = "rk4-2"
+SOLVER_VERSION = "rk4-3"
 SLOPE_TOLERANCE = -1e-6
 
 # Built-in two-regime benchmark market: excess return 0.15 and volatility 0.25
@@ -229,6 +229,7 @@ def run(config: ExperimentConfig) -> int:
             failures.append(f"gamma={tag}: {entry['error']}")
             report["runs"][tag] = entry
             continue
+        entry["solver"] = solution.table.stats["legs"]  # per leg: sweep, steps, rounds, error
         curve = solution.consumption_curve()
         if "curves" in config.outputs:
             path = out / f"consumption_g{tag}.csv"

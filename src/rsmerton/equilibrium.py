@@ -42,6 +42,7 @@ from rsmerton.ode_engine import (
     SolutionTable,
     affine_pair_solve,
     interp_by_state,
+    newton_rk4_solve,
     rk4_solve,
     solve_terminal_ode,
     step_cumulative,
@@ -52,6 +53,9 @@ G_POSITIVITY_FLOOR = 1e-12
 RK4_STABILITY_LIMIT = 2.785  # largest stable h * |lambda| of explicit RK4 on the real axis
 PICARD_EVAL_POINTS = 17
 PICARD_QUAD_CELLS = 128
+# Most regimes whose g-system is solved by Newton on RK4's step map
+# (newton_rk4_solve); wider systems run the stage loop (README, "Solver").
+NEWTON_MAX_STATES = 8
 
 
 def growth_rate(gamma: float, r, mu, sigma):
@@ -70,20 +74,23 @@ def solve_market_ode(
     horizon: float | None = None,
     positivity_floor=None,
     sweep=None,
+    make_batched=None,
 ) -> SolutionTable:
     """Composite backward solve over the market's constant-coefficient legs.
 
     make_rhs(r, mu, sigma) builds the leg's right-hand side with coefficients
     pinned, so each leg is smooth and coefficient discontinuities always land
-    on leg boundaries. sweep=None runs RK4's stage loop, else an affine sweep
-    of ode_engine reads rhs as it documents. tol=None does one fixed-step sweep
-    per leg. A domain failure notes a leg step beyond RK4's stability limit.
+    on leg boundaries; make_batched, where given, builds its batched_rhs the
+    same way. sweep=None runs RK4's stage loop, else a sweep of ode_engine
+    reads the system as it documents. tol=None does one fixed-step sweep per
+    leg. A domain failure notes a leg step beyond RK4's stability limit. The
+    table's stats hold each leg's, earliest first.
     """
     horizon = spec.horizon if horizon is None else horizon
     cuts, r, mu, sigma = spec.coefficients_on([t_start, horizon])
     total = horizon - t_start
     term = np.asarray(terminal, dtype=float)
-    tables = []
+    tables, legs = [], []
     for k in reversed(range(cuts.size - 1)):
         lo, hi = float(cuts[k]), float(cuts[k + 1])
         steps = max(16, int(round(n_steps * (hi - lo) / total)))
@@ -94,6 +101,7 @@ def solve_market_ode(
             horizon=hi,
             t_start=lo,
             positivity_floor=positivity_floor,
+            batched_rhs=make_batched(r[k], mu[k], sigma[k]) if make_batched else None,
         )
         run = partial(sweep or rk4_solve, system)
         try:
@@ -111,11 +119,12 @@ def solve_market_ode(
                 f"use at least {int(np.ceil((hi - lo) * radius / RK4_STABILITY_LIMIT))} steps"
             )) from None
         tables.append(table)
+        legs.append({"t_start": lo, "horizon": hi, "steps": table.grid.size - 1, **table.stats})
         term = table.values[0]
     tables.reverse()
     grid = np.concatenate([tables[0].grid] + [t.grid[1:] for t in tables[1:]])
     values = np.vstack([tables[0].values] + [t.values[1:] for t in tables[1:]])
-    return SolutionTable(grid=grid, values=values)
+    return SolutionTable(grid=grid, values=values, stats={"legs": legs[::-1]})
 
 
 @dataclass(frozen=True)
@@ -166,10 +175,15 @@ def solve_log(spec: MarketSpec, n_steps: int = 2048, tol: float = 1e-9) -> Equil
 def _solve_branch(spec, n_steps, tol) -> EquilibriumSolution:
     """The one solve behind solve_g and solve_log; g, or h (the pair's lead), stays positive."""
     terminal = spec.prefs.terminal(spec.states)
-    log = spec.prefs.is_log
-    table = solve_market_ode((_log_coefficients if log else rhs_factory)(spec), spec, terminal,
-                             n_steps, tol, positivity_floor=G_POSITIVITY_FLOOR,
-                             sweep=affine_pair_solve if log else None)
+    if spec.prefs.is_log:
+        make_rhs, route = _log_coefficients(spec), dict(sweep=affine_pair_solve)
+    elif spec.states <= NEWTON_MAX_STATES:
+        make_rhs = rhs_factory(spec)
+        route = dict(sweep=newton_rk4_solve, make_batched=rhs_factory(spec, batched=True))
+    else:
+        make_rhs, route = rhs_factory(spec), {}
+    table = solve_market_ode(make_rhs, spec, terminal, n_steps, tol,
+                             positivity_floor=G_POSITIVITY_FLOOR, **route)
     return EquilibriumSolution(spec=spec, table=table)
 
 
@@ -184,13 +198,15 @@ def _log_coefficients(spec: MarketSpec):
     return make_rhs
 
 
-def rhs_factory(spec: MarketSpec):
+def rhs_factory(spec: MarketSpec, batched: bool = False):
     """Leg-wise right-hand side of the spec's coefficient system: g, or h then l.
 
     The l equation carries -log h(t,i) from substituting the log ansatz into
     the verification PDE (the running utility of consuming x/h contributes
     log x - log h). The log solve runs on _log_coefficients; this statement of
-    the (h, l) system serves the residual check.
+    the (h, l) system serves the residual check. batched=True gives the g
+    system's right-hand side at a stack of states and its Jacobian, as
+    OdeSystem.batched_rhs (newton_rk4_solve) reads them.
     """
     g, S, rates, rho = spec.gamma, spec.states, spec.generator.rates, spec.rho
     power = g / (g - 1.0)
@@ -198,6 +214,17 @@ def rhs_factory(spec: MarketSpec):
     def make_rhs(r, mu, sigma):
         if not spec.prefs.is_log:
             q_rho = growth_rate(g, r, mu, sigma) - rho
+            if batched:
+                linear, diag = -(np.diag(q_rho) + rates), np.arange(S)
+
+                def rhs_and_jacobian(times, ys):
+                    jac = np.repeat(linear[None], ys.shape[0], axis=0)
+                    jac[:, diag, diag] -= ((1 - g) * power) * np.power(ys, power - 1.0)
+                    # a matrix-vector product per row, as in rhs: the same bits
+                    coupling = (rates @ ys[..., None])[..., 0]
+                    return -(q_rho * ys + coupling + (1 - g) * np.power(ys, power)), jac
+
+                return rhs_and_jacobian
             return lambda t, y: -(q_rho * y + rates @ y + (1 - g) * np.power(y, power))
         drive = r + mu**2 / (2 * sigma**2)
 

@@ -17,15 +17,21 @@ The two sweeps of a step-halving round do not depend on each other, so
 step_halving runs the finer one in a forked child (Forked, as ctmc.ensemble_map
 does) where that pays and is safe (can_fork_worker), with the serial loop's
 tables and errors.
+
+On a small nonlinear system, newton_rk4_solve finds the same table for every
+step at once: it is the fixed point of RK4's step map, and Newton's update
+solves an affine recursion by a doubling scan (Lim et al., "Parallelizing
+non-linear sequential models over the sequence length", ICLR 2024).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -43,6 +49,10 @@ BLOCK_ELEMENTS = 2**15
 # affine pair) loses at 512 steps and gains at 1024 on 2 CPUs (README,
 # "Independent ensembles").
 HALVING_MIN_STEPS = 1024
+# newton_rk4_solve: iterations before it sweeps rk4_solve instead, and the
+# largest update, relative to each component's scale, after which it accepts.
+NEWTON_MAX_ITERATIONS = 16
+NEWTON_TOL = 1e-10
 
 _in_worker = False  # set in a forked child, which never forks again
 
@@ -72,6 +82,9 @@ class OdeSystem:
     If positivity_floor is set, integration aborts once any component drops
     below it (affine_pair_solve floors its lead alone). affine_rk4_solve reads
     rhs as the coefficients of a linear system instead (see there).
+    newton_rk4_solve reads batched_rhs(times, ys): rhs at every row of ys,
+    shape (m, dimension), at the m times, and its Jacobian in y, (m,
+    dimension, dimension).
     """
 
     dimension: int
@@ -80,6 +93,7 @@ class OdeSystem:
     horizon: float
     positivity_floor: float | None = None
     t_start: float = 0.0
+    batched_rhs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         tv = np.asarray(self.terminal_values, dtype=float)
@@ -96,6 +110,9 @@ class SolutionTable:
 
     grid: np.ndarray
     values: np.ndarray  # (n_nodes, dimension)
+    # how the table was solved: the sweep's name, its Newton iterations, and
+    # step_halving's rounds and accepted error (solve_market_ode: {"legs": [...]})
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -197,7 +214,7 @@ def rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
                 out[lo + i] = y
             _check_block(system, np.concatenate(stages).reshape(-1, 2, system.dimension), block)
     _check_domain(system.t_start, y, "state", system.positivity_floor)
-    return SolutionTable(grid=ts, values=out)
+    return SolutionTable(grid=ts, values=out, stats={"sweep": "stage"})
 
 
 def affine_rk4_solve(system: OdeSystem, n_steps: int, lead=None) -> SolutionTable:
@@ -232,7 +249,7 @@ def affine_rk4_solve(system: OdeSystem, n_steps: int, lead=None) -> SolutionTabl
                 block = np.stack(np.broadcast_arrays(*stages), axis=1)[::-1]
                 _check_block(system, block.reshape(-1, 2, d), times)
     _check_domain(system.t_start, y, "state", system.positivity_floor)
-    return SolutionTable(grid=ts, values=out)
+    return SolutionTable(grid=ts, values=out, stats={"sweep": "affine"})
 
 
 def affine_pair_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
@@ -244,7 +261,88 @@ def affine_pair_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
                                         positivity_floor=None), n_steps, lead)
     except OdeDomainError as e:
         raise OdeDomainError(e.t, S + e.component, e.value, e.reason) from None
-    return SolutionTable(grid=lead.grid, values=np.hstack([lead.values, rest.values]))
+    return SolutionTable(lead.grid, np.hstack([lead.values, rest.values]), lead.stats)
+
+
+def newton_rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
+    """rk4_solve's table, found for every step at once as the fixed point of RK4's step map.
+
+    The table solves y_i = Phi(y_{i+1}) for the backward step map Phi, with
+    the terminal row at the horizon. Newton starts from the terminal row at
+    every node; each iteration evaluates Phi and its Jacobian at every node at
+    once (system.batched_rhs) and solves the linearised recursion for the
+    update by a doubling scan (_affine_scan). An iterate is accepted once the
+    update that made it is within NEWTON_TOL of each component's scale,
+    max(1, sup |y|), so its own error, of the order of that update squared,
+    is at rounding level; and once its stages pass rk4_solve's domain tests.
+    An iterate that is not finite, or none accepted within
+    NEWTON_MAX_ITERATIONS, sweeps rk4_solve instead, so every error, and the
+    table where Newton fails, is the stage loop's.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    if system.batched_rhs is None:
+        raise ValueError("newton_rk4_solve needs the system's batched_rhs")
+    h = (system.horizon - system.t_start) / n_steps
+    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
+    times = np.stack([ts[1:] - s for s in (0.0, h / 2, h)])
+    ys = np.tile(system.terminal_values, (n_steps + 1, 1))
+    floor = system.positivity_floor
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iterations in range(1, NEWTON_MAX_ITERATIONS + 1):
+            _, step, jac = _rk4_map(system.batched_rhs, times, ys[1:], h)
+            update = _affine_scan(jac[::-1], (step - ys[:-1])[::-1])[::-1]
+            ys[:-1] += update
+            if not np.isfinite(ys).all():
+                break
+            if (np.abs(update) <= NEWTON_TOL * np.maximum(1.0, np.abs(ys).max(axis=0))).all():
+                stages = _rk4_map(system.batched_rhs, times, ys[1:], h)[0]
+                if all(np.isfinite(v).all() for v in stages) and (floor is None or all(
+                        (v >= floor).all() for v in (*stages[::2], ys[0]))):
+                    return SolutionTable(ts, ys, {"sweep": "newton",
+                                                  "newton_iterations": iterations})
+                break
+    return rk4_solve(system, n_steps)
+
+
+def _rk4_map(batched_rhs, times, ys, h):
+    """RK4's backward step from every row of ys: (stages, next rows, their Jacobians).
+
+    stages lists the stage inputs and derivatives in rk4_solve's order, and
+    times is (3, m) as there. Each next row's Jacobian, (m, d, d), is taken in
+    its row of ys, through every stage.
+    """
+    a1, a2, a4 = times
+    k1, j1 = batched_rhs(a1, ys)
+    y2 = ys - (h / 2) * k1
+    k2, j2 = batched_rhs(a2, y2)
+    y3 = ys - (h / 2) * k2
+    k3, j3 = batched_rhs(a2, y3)
+    y4 = ys - h * k3
+    k4, j4 = batched_rhs(a4, y4)
+    d2 = j2 - (h / 2) * (j2 @ j1)  # d k2 / d y, and so on
+    d3 = j3 - (h / 2) * (j3 @ d2)
+    d4 = j4 - h * (j4 @ d3)
+    jac = np.eye(ys.shape[1]) - (h / 6) * (j1 + 2 * d2 + 2 * d3 + d4)
+    step = ys - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return (ys, k1, y2, k2, y3, k3, y4, k4), step, jac
+
+
+def _affine_scan(a, b):
+    """x_j = a_j x_{j-1} + b_j for every j, from x_{-1} = 0, by recursive doubling.
+
+    After the round at distance s, row j holds the composition of the maps
+    j - 2s + 1, ..., j, so ceil(log2 m) rounds of batched products (Hillis &
+    Steele's scan, Blelloch 1990) leave every x_j in b.
+    """
+    a, b = a.copy(), b.copy()
+    s = 1
+    while s < len(b):
+        b[s:] += np.einsum("mij,mj->mi", a[s:], b[:-s])
+        if 2 * s < len(b):
+            a[s:] = a[s:] @ a[:-s]
+        s *= 2
+    return b
 
 
 def solve_terminal_ode(
@@ -266,21 +364,25 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
     """solve_terminal_ode's error control around sweep(n_steps) -> SolutionTable.
 
     The serial loop sweeps n, 2n, 4n, ... and compares each grid with the one
-    before. Where this process's own sweep has HALVING_MIN_STEPS steps and a
-    worker may be forked (can_fork_worker), a forked child sweeps the next
-    grid beside it: 2n beside n, then, after each failed comparison, the
-    level after next beside the next. A child whose level the serial loop
+    before. Where this process's own sweep has HALVING_MIN_STEPS steps, the
+    sweep is not partial(newton_rk4_solve, system) (forked, it lost to the
+    serial loop at every S it runs) and a worker may be forked
+    (can_fork_worker), a forked child sweeps the next grid beside it: 2n
+    beside n, then, after each failed comparison, the level after next beside
+    the next. A child whose level the serial loop
     would not reach is killed. The result, and any error, is the serial
     loop's: an error from this process's sweep comes first, a child's is
     raised only where the serial loop would sweep that level, and no level
     beyond max_steps but the first two is swept. Every child is reaped
-    before the call returns or raises.
+    before the call returns or raises. The accepted table's stats gain the
+    rounds compared and the accepted error.
     """
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
 
     def fork(level):  # a child sweeping level while this process sweeps level // 2
-        if level // 2 < HALVING_MIN_STEPS or not can_fork_worker():
+        if (level // 2 < HALVING_MIN_STEPS or getattr(sweep, "func", None) is newton_rk4_solve
+                or not can_fork_worker()):
             return None
         try:
             return Forked(partial(sweep, level))
@@ -290,7 +392,7 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
     child = fork(2 * n_steps)
     try:
         coarse = sweep(n_steps)
-        while True:
+        for rounds in itertools.count(1):
             if child is None:
                 child = fork(4 * n_steps) if 4 * n_steps <= max_steps else None
                 fine = sweep(2 * n_steps)
@@ -298,7 +400,7 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
                 fine, child = child.result(), None
             err = float(np.abs(fine.values[::2] - coarse.values).max())
             if err <= tol:
-                return fine
+                return replace(fine, stats={**fine.stats, "rounds": rounds, "error": err})
             n_steps *= 2
             if 2 * n_steps > max_steps:
                 raise OdeConvergenceError(
@@ -388,15 +490,19 @@ class Forked:
 def residual_norm(system: OdeSystem, table: SolutionTable) -> float:
     """Max-norm defect of a table against its defining equations.
 
-    Centered finite differences on interior nodes versus rhs, each component
-    scaled by max(1, its sup-norm on the table).
+    At each interior node of a uniform grid, with 2h the span of its two
+    neighbours, Simpson's fourth-order defect ((y_{i+1} - y_{i-1}) - (h/3)
+    (f_{i-1} + 4 f_i + f_{i+1})) / 2h of f = rhs, each component scaled by
+    max(1, its sup-norm on the table). A centred difference alone would
+    measure the grid's O(h^2) error rather than the table's.
     """
     ts, vs = table.grid, table.values
     if ts.size < 3:
         raise ValueError("residual_norm needs at least 3 grid points")
-    fd = (vs[2:] - vs[:-2]) / (ts[2:] - ts[:-2])[:, None]
-    rhs = np.array([system.rhs(t, v) for t, v in zip(ts[1:-1], vs[1:-1])], dtype=float)
-    return float((np.abs(fd - rhs) / np.maximum(1.0, np.abs(vs).max(axis=0))).max())
+    f = np.array([system.rhs(t, v) for t, v in zip(ts, vs)], dtype=float)
+    span = (ts[2:] - ts[:-2])[:, None]
+    defect = ((vs[2:] - vs[:-2]) - (span / 6) * (f[:-2] + 4 * f[1:-1] + f[2:])) / span
+    return float((np.abs(defect) / np.maximum(1.0, np.abs(vs).max(axis=0))).max())
 
 
 def interp_by_state(grid: np.ndarray, table: np.ndarray, t: np.ndarray, state: np.ndarray):

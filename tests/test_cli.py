@@ -20,7 +20,7 @@ from rsmerton.cli import (
 from rsmerton.core_model import market_spec_to_json
 from rsmerton.ctmc import RngSpec, dynkin_check, stationary_distribution
 from rsmerton.equilibrium import rhs_factory, solve, value_at
-from rsmerton.ode_engine import OdeSystem, residual_norm
+from rsmerton.ode_engine import OdeSystem, SolutionTable, residual_norm
 from tests.test_coefficient_overrides import two_phase_override
 
 
@@ -126,6 +126,38 @@ class TestRun:
         rhs = rhs_factory(spec)(spec.r, spec.mu, spec.sigma)
         whole = residual_norm(OdeSystem(2, rhs, np.ones(2), 1.0), solve(spec, n_steps=256).table)
         assert v["residual_norm"] == whole
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_validation_passes_on_a_fast_market(self, tmp_path, gamma):
+        # The benchmark's generator x5. A centred difference in place of
+        # Simpson's defect read 1.19e-5 at gamma = -1 and 2.20e-5 at 0.
+        fast = 5 * np.array(BENCHMARK_MARKET["generator"])
+        market = {**BENCHMARK_MARKET, "generator": fast.tolist()}
+        doc = minimal_config(tmp_path, market=market, gammas=[gamma], grid=2048,
+                             outputs=["validation"])
+        assert run(load_config(doc)) == 0
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_a_bumped_table_fails_the_residual_gate(self, gamma):
+        spec = benchmark_spec(gamma)
+        table = solve(spec).table
+        bumped = SolutionTable(table.grid, table.values + 1e-4 * np.sin(7 * table.grid)[:, None])
+        terminal = spec.prefs.terminal(spec.states)
+        system = OdeSystem(terminal.size, rhs_factory(spec)(spec.r, spec.mu, spec.sigma), terminal,
+                           spec.horizon)
+        assert residual_norm(system, bumped) > 1e-4 and residual_norm(system, table) <= 1e-11
+
+    def test_report_carries_each_legs_solver_statistics(self, tmp_path):
+        market = market_spec_to_json(replace(benchmark_spec(-1.0), override=two_phase_override()))
+        run(load_config(minimal_config(tmp_path, market=market, gammas=[-1.0, 0.0])))
+        report = json.loads((tmp_path / "validation_report.json").read_text())
+        for tag, sweep in (("-1", "newton"), ("0", "affine")):
+            legs = report["runs"][tag]["solver"]
+            assert [(leg["sweep"], leg["t_start"], leg["horizon"]) for leg in legs] == [
+                (sweep, 0.0, 0.5), (sweep, 0.5, 1.0)]
+            for leg in legs:
+                assert leg["steps"] >= 128 and leg["rounds"] >= 1 and 0.0 < leg["error"] <= 1e-9
+                assert ("newton_iterations" in leg) == (sweep == "newton")
 
     @pytest.mark.parametrize("gamma", [-1.0, 0.0])
     def test_validation_passes_on_an_override_market(self, tmp_path, gamma):

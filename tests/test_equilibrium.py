@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from rsmerton.equilibrium import (
 )
 from rsmerton.ode_engine import OdeDomainError, OdeSystem, SolutionTable, residual_norm
 from rsmerton.simulate import ProportionalStrategy
-from tests.conftest import make_spec
+from tests.conftest import BENCH_GENERATOR, make_spec
+from tests.test_golden_mc import regime_market
 from tests.test_ode_engine import per_stage_rk4
 
 
@@ -138,6 +141,24 @@ class TestSolveLog:
         sol = solve_log(make_spec(gamma=0.0))
         h = sol.table.values[:, :2]
         assert (h[:-1, 0] < h[:-1, 1]).all()
+
+    @pytest.mark.parametrize("market", ["benchmark", "generator x100", "32 regimes"])
+    def test_h_is_the_closed_form(self, market):
+        # h' = B h - 1 with B = diag(rho) - rates and h(T) = 1, so
+        # h(t) = e^{-(T-t)B} 1 + B^{-1} (I - e^{-(T-t)B}) 1
+        linalg = pytest.importorskip("scipy.linalg")
+        spec = {
+            "benchmark": lambda: make_spec(gamma=0.0),
+            "generator x100": lambda: make_spec(gamma=0.0,
+                                                generator=100 * np.array(BENCH_GENERATOR)),
+            "32 regimes": lambda: replace(regime_market(20260811, 20.0), gamma=0.0),
+        }[market]()
+        table = solve_log(spec).table
+        B, ones = np.diag(spec.rho) - spec.generator.rates, np.ones(spec.states)
+        for t, h in zip(table.grid, table.values[:, : spec.states]):
+            decay = linalg.expm(-(spec.horizon - t) * B)
+            exact = decay @ ones + np.linalg.solve(B, ones - decay @ ones)
+            assert np.abs(h - exact).max() <= 1e-11
 
     def test_joint_system_residual(self):
         spec = make_spec(gamma=0.0)

@@ -13,6 +13,14 @@ branch's h and l as affine RK4 sweeps, so the gamma = 0 policy behind the
 "log" estimate moved in its last digits, and that estimate with it, from
 0.24856397685014797 to 0.24856397685014758 (stderr unchanged). Every other
 pin here was reproduced exactly.
+
+A second is sanctioned: solver version rk4-3 solves the g-system at S <= 8
+by Newton on RK4's step map, which finds the stage loop's table to rounding,
+not bit for bit. Three pins moved, each in its last bits: the "override"
+estimate's stderr by one ulp (0.007660202336082836 to ...837); picard "bench"
+in 4 of its 16 numbers, by at most 4.4e-16; picard "override" in both
+stderrs, by at most 1.7e-18 (3.3e-16 relative). Every other pin, the
+32-regime and log-branch ones among them, was reproduced exactly.
 """
 
 import functools
@@ -123,7 +131,7 @@ ESTIMATE_J = {
     "power": (-1.9006764457565868, 0.00904860749235894),
     "power_late_start": (-1.634680941168097, 0.007190019157712868),
     "log": (0.24856397685014758, 0.015954250038791324),
-    "override": (-1.886917503469223, 0.007660202336082836),
+    "override": (-1.886917503469223, 0.007660202336082837),
     "override_mid_cell": (-1.8967124959839212, 0.006722146206642982),
     "regimes32": (-3.064678555183695, 0.019001121886664828),
 }
@@ -175,15 +183,15 @@ def _picard(case):
 PICARD = {
     # case: (values, stderr) as nested lists, or sha256 of both for wide tables
     "bench": (
-        [[2.1832561952473206, 2.2433904704860184], [1.586063637367549, 1.6359071818809843],
+        [[2.1832561952473206, 2.243390470486019], [1.586063637367549, 1.6359071818809843],
          [1.1074885477093435, 1.1368342750211036], [1.0, 1.0]],
-        [[0.005300110530001784, 0.005665062173255651],
-         [0.003274978951281367, 0.0032801045296980014],
+        [[0.005300110530001785, 0.005665062173255651],
+         [0.0032749789512813675, 0.003280104529698001],
          [0.0007643164689307666, 0.0009413254134471821], [0.0, 0.0]],
     ),
     "override": (
         [[2.0803413251730047, 2.1489901906740188]],
-        [[0.0052210066384524995, 0.005556121548552983]],
+        [[0.005221006638452501, 0.0055561215485529815]],
     ),
     "regimes32": "ee2ffd3f602b3727f478ef55e4067a31b0284759af23efd21801451a1601eed7",
 }

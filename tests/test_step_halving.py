@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rsmerton import ode_engine
+from rsmerton import equilibrium, ode_engine
 from rsmerton.cli import benchmark_spec
 from rsmerton.core_model import market_spec_from_json
 from rsmerton.equilibrium import solve_g
@@ -87,6 +87,10 @@ def outcome(fn):
 class TestSameBits:
     def test_benchmark_at_gamma_minus_one(self, forked, monkeypatch):
         spec = benchmark_spec(-1.0)
+        newton = solve_g(spec).table  # S = 2: Newton's sweep, which is never forked
+        assert levels(forked) == [] and newton.grid.size == 4097
+        assert newton.stats["legs"][0]["sweep"] == "newton"
+        monkeypatch.setattr(equilibrium, "NEWTON_MAX_STATES", 0)  # the stage loop
         fork = solve_g(spec).table
         assert levels(forked) == [4096]
         here = serially(monkeypatch, lambda: solve_g(spec).table)
