@@ -12,9 +12,11 @@ each pair is won by the side whose metric is better in the direction
 BENCHMARK.json gives. Each run also records `peak_rss_tree_mb`, the largest
 peak RSS of any process in its tree (the run, its set-up probes and any
 forked workers, from `os.wait4`), which `peak_rss_mb`, the run's own, does
-not see. A failed run keeps the tail of its stderr in its run entry, and
-makes the script exit 1. A result file that already exists is updated:
-entries for the workloads run now replace earlier ones, the rest are kept.
+not see. A failed run keeps the tail of its stderr in its run entry, with the
+`failures` of its report line where it ran to the end, or the tail of its
+stdout where its last line is not JSON, and makes the script exit 1. A
+result file that already exists is updated: entries for the workloads run
+now replace earlier ones, the rest are kept.
 """
 
 import argparse
@@ -47,7 +49,10 @@ def parse_args(argv):
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark process: its last output line as a dict, with its stderr tail if it failed.
+    """One benchmark process: its last output line as a dict, with why it failed if it did.
+
+    A failed run keeps its stderr tail, and either its report line's
+    `failures` or, where its last line is not JSON, its stdout tail.
 
     The process is reaped with os.wait4, whose ru_maxrss is the largest peak
     RSS among the process and the descendants it waited for.
@@ -62,12 +67,19 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         err.seek(0)
         lines, stderr = out.read().strip().splitlines(), err.read()
     result = {"correct": False, "metrics": {}}
-    if proc.returncode == 0 and lines:
-        result = json.loads(lines[-1])
+    try:
+        if proc.returncode == 0 and lines:
+            result = json.loads(lines[-1])
+            if not result["correct"]:  # the report line before it says why
+                result["failures"] = json.loads(lines[-2])["failures"]
+    except (ValueError, LookupError, TypeError):  # not the two lines run.py ends with
+        result = {"correct": False, "metrics": {}, "stdout": "\n".join(lines)[-2000:]}
     result["metrics"]["peak_rss_tree_mb"] = {"value": usage.ru_maxrss / 1024.0, "unit": "MB"}
     if not result["correct"]:
         result["error"] = stderr[-2000:]
-        print(f"{workload} seed {seed} failed in {checkout}:\n{result['error']}", file=sys.stderr)
+        why = [result["error"], result.get("stdout"), "; ".join(result.get("failures", []))]
+        print(f"{workload} seed {seed} failed in {checkout}:\n" + "\n".join(filter(None, why)),
+              file=sys.stderr)
     return result
 
 
@@ -149,7 +161,8 @@ def main(argv=None) -> int:
                 "runs": [{"first": p["first"],
                           **{s: {"correct": p[s]["correct"],
                                  **{k: v["value"] for k, v in p[s]["metrics"].items()},
-                                 **({"error": p[s]["error"]} if "error" in p[s] else {})}
+                                 **{k: p[s][k] for k in ("error", "failures", "stdout")
+                                    if k in p[s]}}
                              for s in ("parent", "change")}} for p in runs],
             }
             args.out.write_text(json.dumps(doc, indent=1) + "\n")

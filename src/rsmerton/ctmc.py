@@ -69,7 +69,8 @@ def ensemble_map(fn, jobs: list, path_cells: list) -> list:
     a forked child (ode_engine.Forked) that inherits fn and the jobs. Collected
     in job order, the first share that raises holds the serial loop's error;
     every child is killed and reaped on every exit. The jobs run here below the
-    break-even, for one job, where can_fork_worker says no or a fork fails.
+    break-even, for one job, or where can_fork_worker says no; a share whose
+    fork fails runs here when its turn to be collected comes.
     """
 
     def run(share):
@@ -80,20 +81,16 @@ def ensemble_map(fn, jobs: list, path_cells: list) -> list:
         return run(jobs)
     n, m = len(jobs), min(len(os.sched_getaffinity(0)), len(jobs))
     done, a, children = np.cumsum(work), 0, []
-    try:  # this process runs no share
+    try:  # this process runs no share that a child could
         for w in range(1, m + 1):  # a share up to the job whose running work is nearest w / m of it
             b = int(np.abs(done - done[-1] * w / m).argmin()) + 1
             b = min(max(b, a + 1), n - m + w)  # no share empty
             children.append(ode_engine.Forked(partial(run, jobs[a:b])))
             a = b
         return [value for child in children for value in child.result()]
-    except OSError:
-        if len(children) == m:  # a job's own error
-            raise
     finally:
         for child in children:
             child.kill()
-    return run(jobs)  # no process or pipe to be had: the jobs run here, alone
 
 
 def _checked(generator: RegimeGenerator) -> RegimeGenerator:

@@ -74,13 +74,13 @@ def solve_market_ode(
     horizon: float | None = None,
     positivity_floor=None,
     sweep=None,
-    make_batched=None,
+    make_jacobian=None,
 ) -> SolutionTable:
     """Composite backward solve over the market's constant-coefficient legs.
 
     make_rhs(r, mu, sigma) builds the leg's right-hand side with coefficients
     pinned, so each leg is smooth and coefficient discontinuities always land
-    on leg boundaries; make_batched, where given, builds its batched_rhs the
+    on leg boundaries; make_jacobian, where given, builds its jacobian the
     same way. sweep=None runs RK4's stage loop, else a sweep of ode_engine
     reads the system as it documents. tol=None does one fixed-step sweep per
     leg. A domain failure notes a leg step beyond RK4's stability limit. The
@@ -101,7 +101,7 @@ def solve_market_ode(
             horizon=hi,
             t_start=lo,
             positivity_floor=positivity_floor,
-            batched_rhs=make_batched(r[k], mu[k], sigma[k]) if make_batched else None,
+            jacobian=make_jacobian(r[k], mu[k], sigma[k]) if make_jacobian else None,
         )
         run = partial(sweep or rk4_solve, system)
         try:
@@ -179,7 +179,7 @@ def _solve_branch(spec, n_steps, tol) -> EquilibriumSolution:
         make_rhs, route = _log_coefficients(spec), dict(sweep=affine_pair_solve)
     elif spec.states <= NEWTON_MAX_STATES:
         make_rhs = rhs_factory(spec)
-        route = dict(sweep=newton_rk4_solve, make_batched=rhs_factory(spec, batched=True))
+        route = dict(sweep=newton_rk4_solve, make_jacobian=rhs_factory(spec, jacobian=True))
     else:
         make_rhs, route = rhs_factory(spec), {}
     table = solve_market_ode(make_rhs, spec, terminal, n_steps, tol,
@@ -198,15 +198,15 @@ def _log_coefficients(spec: MarketSpec):
     return make_rhs
 
 
-def rhs_factory(spec: MarketSpec, batched: bool = False):
+def rhs_factory(spec: MarketSpec, jacobian: bool = False):
     """Leg-wise right-hand side of the spec's coefficient system: g, or h then l.
 
+    The g system's takes one state or a stack of rows (newton_rk4_solve).
     The l equation carries -log h(t,i) from substituting the log ansatz into
     the verification PDE (the running utility of consuming x/h contributes
     log x - log h). The log solve runs on _log_coefficients; this statement of
-    the (h, l) system serves the residual check. batched=True gives the g
-    system's right-hand side at a stack of states and its Jacobian, as
-    OdeSystem.batched_rhs (newton_rk4_solve) reads them.
+    the (h, l) system serves the residual check. jacobian=True gives the g
+    system's Jacobian at a stack of rows instead, as OdeSystem.jacobian.
     """
     g, S, rates, rho = spec.gamma, spec.states, spec.generator.rates, spec.rho
     power = g / (g - 1.0)
@@ -214,18 +214,23 @@ def rhs_factory(spec: MarketSpec, batched: bool = False):
     def make_rhs(r, mu, sigma):
         if not spec.prefs.is_log:
             q_rho = growth_rate(g, r, mu, sigma) - rho
-            if batched:
+            if jacobian:
                 linear, diag = -(np.diag(q_rho) + rates), np.arange(S)
 
-                def rhs_and_jacobian(times, ys):
+                def g_jacobian(times, ys):
                     jac = np.repeat(linear[None], ys.shape[0], axis=0)
                     jac[:, diag, diag] -= ((1 - g) * power) * np.power(ys, power - 1.0)
-                    # a matrix-vector product per row, as in rhs: the same bits
-                    coupling = (rates @ ys[..., None])[..., 0]
-                    return -(q_rho * ys + coupling + (1 - g) * np.power(ys, power)), jac
+                    return jac
 
-                return rhs_and_jacobian
-            return lambda t, y: -(q_rho * y + rates @ y + (1 - g) * np.power(y, power))
+                return g_jacobian
+
+            def g_rhs(t, y):
+                # rates @ y for one state, as the stage loop takes it (the per-row
+                # form cost it 5-8%); a stack gets rates @ y row by row, same bits
+                coupling = rates @ y if y.ndim == 1 else (rates @ y[..., None])[..., 0]
+                return -(q_rho * y + coupling + (1 - g) * np.power(y, power))
+
+            return g_rhs
         drive = r + mu**2 / (2 * sigma**2)
 
         def rhs(t, y):

@@ -3,25 +3,29 @@
 The scheme is classical fixed-step fourth-order Runge-Kutta swept from the
 horizon down to 0, with step-halving error control: the sweep is repeated at
 twice the resolution until the two grids agree to tolerance. Fixed steps keep
-results bit-stable across runs and platforms. On a linear system the scheme is
-one affine map per step, y(t - h) = M y(t) + v (Hairer, Norsett & Wanner,
-Solving ODEs I), which affine_rk4_solve builds for a block of steps at once.
+results bit-stable across runs and platforms. One function, _rk4_step, writes
+the four stages, and one, _grid, lays out the steps. rk4_solve steps one state
+at a time. On a linear system the scheme is one affine map per step,
+y(t - h) = M y(t) + v (Hairer, Norsett & Wanner, Solving ODEs I), which
+affine_rk4_solve steps from the identity and zero for a block of steps at once.
 
 Domain errors (a stage input below the positivity floor or not finite, or a
-derivative not finite) are found once per block of steps by one vectorised
-test, so rhs may see the rest of a block past a failure. A failing block is
-rescanned in sweep order and raises the OdeDomainError (stage time, component,
-value, reason) a check of each stage in turn would raise.
+derivative not finite) are found by one vectorised test, _check_block, of every
+sweep's stages, once per block, so rhs may see the rest of a block past a
+failure. A failing block is rescanned in sweep order and raises the
+OdeDomainError (stage time, component, value, reason) a check of each stage in
+turn would raise.
 
 The two sweeps of a step-halving round do not depend on each other, so
 step_halving runs the finer one in a forked child (Forked, as ctmc.ensemble_map
 does) where that pays and is safe (can_fork_worker), with the serial loop's
-tables and errors.
+tables and errors; where no child can be had, Forked runs the call here.
 
 On a small nonlinear system, newton_rk4_solve finds the same table for every
-step at once: it is the fixed point of RK4's step map, and Newton's update
-solves an affine recursion by a doubling scan (Lim et al., "Parallelizing
-non-linear sequential models over the sequence length", ICLR 2024).
+step at once: it is the fixed point of RK4's step map, taken from every node at
+once, and Newton's update solves an affine recursion by a doubling scan (Lim et
+al., "Parallelizing non-linear sequential models over the sequence length",
+ICLR 2024).
 """
 
 from __future__ import annotations
@@ -79,12 +83,12 @@ class OdeSystem:
     """Terminal-value problem y'(t) = rhs(t, y) on [t_start, horizon], y(horizon) given.
 
     rhs must be deterministic and side-effect free and return a float array.
-    If positivity_floor is set, integration aborts once any component drops
-    below it (affine_pair_solve floors its lead alone). affine_rk4_solve reads
-    rhs as the coefficients of a linear system instead (see there).
-    newton_rk4_solve reads batched_rhs(times, ys): rhs at every row of ys,
-    shape (m, dimension), at the m times, and its Jacobian in y, (m,
-    dimension, dimension).
+    newton_rk4_solve calls it on a stack of rows, shape (m, dimension), at
+    the rows' m times, and reads jacobian(times, ys), rhs's Jacobian in y at
+    each row, (m, dimension, dimension). affine_rk4_solve reads rhs(times,
+    lead) as a linear system's A and f at a block's stage times instead (see
+    there). If positivity_floor is set, integration aborts once any
+    component drops below it (affine_pair_solve floors its lead alone).
     """
 
     dimension: int
@@ -93,7 +97,7 @@ class OdeSystem:
     horizon: float
     positivity_floor: float | None = None
     t_start: float = 0.0
-    batched_rhs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         tv = np.asarray(self.terminal_values, dtype=float)
@@ -164,19 +168,32 @@ def _check_block(system: OdeSystem, block: np.ndarray, times: np.ndarray):
         _check_domain(t, d, "derivative")
 
 
-def _rk4_step(A, f, y, h):
-    """RK4 step back from column stack y on y' = A y + f: ([y, k1, ..., y4, k4], next y).
+def _grid(system: OdeSystem, n_steps: int):
+    """A sweep's step h, its n_steps + 1 nodes, and each step's (3, n_steps) stage times.
 
-    A is at the stage times t, t - h/2, t - h, f at the four stages.
+    Column i holds the times t, t - h/2, t - h of the step from node i + 1 to node i.
     """
-    (A1, A2, A4), (f1, f2, f3, f4) = A, f
-    k1 = A1 @ y + f1
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    h = (system.horizon - system.t_start) / n_steps
+    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
+    return h, ts, np.stack([ts[1:] - s for s in (0.0, h / 2, h)])
+
+
+def _rk4_step(rhs, args, y, h):
+    """RK4's step back from y: ([y, k1, y2, k2, y3, k3, y4, k4], next y).
+
+    The stage derivatives are rhs(arg, stage input) at the four args, in
+    stage order. y may be one state, a column stack or a stack of rows.
+    """
+    a1, a2, a3, a4 = args
+    k1 = rhs(a1, y)
     y2 = y - (h / 2) * k1
-    k2 = A2 @ y2 + f2
+    k2 = rhs(a2, y2)
     y3 = y - (h / 2) * k2
-    k3 = A2 @ y3 + f3
+    k3 = rhs(a3, y3)
     y4 = y - h * k3
-    k4 = A4 @ y4 + f4
+    k4 = rhs(a4, y4)
     return [y, k1, y2, k2, y3, k3, y4, k4], y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -187,30 +204,16 @@ def rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
     block's stage inputs and derivatives are checked at the end of each block
     of BLOCK_STEPS steps, the state at t_start last (see the module docstring).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    h = (system.horizon - system.t_start) / n_steps
-    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
+    h, ts, times = _grid(system, n_steps)
     out = np.empty((n_steps + 1, system.dimension))
-    y = system.terminal_values.copy()
-    out[n_steps] = y
-    rhs = system.rhs
+    out[n_steps] = y = system.terminal_values.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(((n_steps - 1) // BLOCK_STEPS) * BLOCK_STEPS, -1, -BLOCK_STEPS):
-            # column i: the stage times of the step ts[lo + i + 1] -> ts[lo + i]
-            block = np.stack([ts[lo + 1 : lo + 1 + BLOCK_STEPS] - d for d in (0.0, h / 2, h)])
-            a1, a2, a4 = block
+            block = times[:, lo : lo + BLOCK_STEPS]
             stages = []
-            for i in range(block.shape[1] - 1, -1, -1):
-                k1 = rhs(a1[i], y)
-                y2 = y - (h / 2) * k1
-                k2 = rhs(a2[i], y2)
-                y3 = y - (h / 2) * k2
-                k3 = rhs(a2[i], y3)
-                y4 = y - h * k3
-                k4 = rhs(a4[i], y4)
-                stages += (y, k1, y2, k2, y3, k3, y4, k4)
-                y = y - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            for i, args in reversed(list(enumerate(zip(*block[[0, 1, 1, 2]])))):
+                step, y = _rk4_step(system.rhs, args, y, h)
+                stages += step
                 out[lo + i] = y
             _check_block(system, np.concatenate(stages).reshape(-1, 2, system.dimension), block)
     _check_domain(system.t_start, y, "state", system.positivity_floor)
@@ -226,28 +229,32 @@ def affine_rk4_solve(system: OdeSystem, n_steps: int, lead=None) -> SolutionTabl
     coefficients are rhs(times, the lead's stage inputs). Blocks of steps are
     checked as rk4_solve checks its own.
     """
-    d, h = system.dimension, (system.horizon - system.t_start) / n_steps
-    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
+    d = system.dimension
+    h, ts, all_times = _grid(system, n_steps)
     out = np.empty((n_steps + 1, d))
     out[n_steps] = y = system.terminal_values
     width = max(1, BLOCK_ELEMENTS // (d * max(d, 8)))  # entries of a step's matrix or stages
+
+    def step(A, f, y):  # RK4's step on y' = A y + f: each stage's arg is its (A, f)
+        return _rk4_step(lambda Af, y: Af[0] @ y + Af[1], zip((A[0], A[1], A[1], A[2]), f),
+                         y, h)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(((n_steps - 1) // width) * width, -1, -width):
             hi = min(lo + width, n_steps)
-            times = np.stack([ts[lo + 1 : hi + 1] - s for s in (0.0, h / 2, h)])
+            times = all_times[:, lo:hi]
             A, f = system.rhs(times, None)
             if lead is not None:
-                stages = _rk4_step(A, f, lead.values[lo + 1 : hi + 1, :, None], h)[0]
-                A, f = system.rhs(times, np.stack(np.broadcast_arrays(*stages[::2])))
-            M = np.broadcast_to(_rk4_step(A, (0.0,) * 4, np.eye(d), h)[1], (hi - lo, d, d))
-            v = np.broadcast_to(_rk4_step(A, f, np.zeros((d, 1)), h)[1][..., 0], (hi - lo, d))
+                inputs = step(A, f, lead.values[lo + 1 : hi + 1, :, None])[0][::2]
+                A, f = system.rhs(times, np.stack(np.broadcast_arrays(*inputs)))
+            M = np.broadcast_to(step(A, (0.0,) * 4, np.eye(d))[1], (hi - lo, d, d))
+            v = np.broadcast_to(step(A, f, np.zeros((d, 1)))[1][..., 0], (hi - lo, d))
             for i in range(hi - lo - 1, -1, -1):
                 y = M[i].dot(y) + v[i]
                 out[lo + i] = y
             if system.positivity_floor is not None or not np.isfinite(out[lo : hi + 1]).all():
-                stages = _rk4_step(A, f, out[lo + 1 : hi + 1, :, None], h)[0]
-                block = np.stack(np.broadcast_arrays(*stages), axis=1)[::-1]
-                _check_block(system, block.reshape(-1, 2, d), times)
+                stages = np.broadcast_arrays(*step(A, f, out[lo + 1 : hi + 1, :, None])[0])
+                _check_block(system, np.stack(stages, axis=1)[::-1].reshape(-1, 2, d), times)
     _check_domain(system.t_start, y, "state", system.positivity_floor)
     return SolutionTable(grid=ts, values=out, stats={"sweep": "affine"})
 
@@ -269,63 +276,43 @@ def newton_rk4_solve(system: OdeSystem, n_steps: int) -> SolutionTable:
 
     The table solves y_i = Phi(y_{i+1}) for the backward step map Phi, with
     the terminal row at the horizon. Newton starts from the terminal row at
-    every node; each iteration evaluates Phi and its Jacobian at every node at
-    once (system.batched_rhs) and solves the linearised recursion for the
-    update by a doubling scan (_affine_scan). An iterate is accepted once the
-    update that made it is within NEWTON_TOL of each component's scale,
-    max(1, sup |y|), so its own error, of the order of that update squared,
-    is at rounding level; and once its stages pass rk4_solve's domain tests.
-    An iterate that is not finite, or none accepted within
+    every node; each iteration takes one RK4 step from every node at once,
+    chains system.jacobian through its stages into Phi's Jacobian, and solves
+    the linearised recursion for the update by a doubling scan
+    (_affine_scan). An iterate is accepted once the update that made it is
+    within NEWTON_TOL of each component's scale, max(1, sup |y|), so its own
+    error, of the order of that update squared, is at rounding level; and
+    once its stages pass rk4_solve's domain test. An iterate that is not
+    finite, one that fails that test, or none accepted within
     NEWTON_MAX_ITERATIONS, sweeps rk4_solve instead, so every error, and the
     table where Newton fails, is the stage loop's.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    if system.batched_rhs is None:
-        raise ValueError("newton_rk4_solve needs the system's batched_rhs")
-    h = (system.horizon - system.t_start) / n_steps
-    ts = np.linspace(system.t_start, system.horizon, n_steps + 1)
-    times = np.stack([ts[1:] - s for s in (0.0, h / 2, h)])
+    h, ts, times = _grid(system, n_steps)
+    if system.jacobian is None:
+        raise ValueError("newton_rk4_solve needs the system's jacobian")
+    args = times[[0, 1, 1, 2]]
     ys = np.tile(system.terminal_values, (n_steps + 1, 1))
-    floor = system.positivity_floor
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iterations in range(1, NEWTON_MAX_ITERATIONS + 1):
-            _, step, jac = _rk4_map(system.batched_rhs, times, ys[1:], h)
+            stages, step = _rk4_step(system.rhs, args, ys[1:], h)
+            j1, j2, j3, j4 = map(system.jacobian, args, stages[::2])
+            d2 = j2 - (h / 2) * (j2 @ j1)  # d k2 / d y, and so on
+            d3 = j3 - (h / 2) * (j3 @ d2)
+            d4 = j4 - h * (j4 @ d3)
+            jac = np.eye(system.dimension) - (h / 6) * (j1 + 2 * d2 + 2 * d3 + d4)
             update = _affine_scan(jac[::-1], (step - ys[:-1])[::-1])[::-1]
             ys[:-1] += update
             if not np.isfinite(ys).all():
                 break
             if (np.abs(update) <= NEWTON_TOL * np.maximum(1.0, np.abs(ys).max(axis=0))).all():
-                stages = _rk4_map(system.batched_rhs, times, ys[1:], h)[0]
-                if all(np.isfinite(v).all() for v in stages) and (floor is None or all(
-                        (v >= floor).all() for v in (*stages[::2], ys[0]))):
-                    return SolutionTable(ts, ys, {"sweep": "newton",
-                                                  "newton_iterations": iterations})
-                break
+                try:
+                    stages = np.stack(_rk4_step(system.rhs, args, ys[1:], h)[0], axis=1)[::-1]
+                    _check_block(system, stages.reshape(-1, 2, system.dimension), times)
+                    _check_domain(system.t_start, ys[0], "state", system.positivity_floor)
+                except OdeDomainError:
+                    break
+                return SolutionTable(ts, ys, {"sweep": "newton", "newton_iterations": iterations})
     return rk4_solve(system, n_steps)
-
-
-def _rk4_map(batched_rhs, times, ys, h):
-    """RK4's backward step from every row of ys: (stages, next rows, their Jacobians).
-
-    stages lists the stage inputs and derivatives in rk4_solve's order, and
-    times is (3, m) as there. Each next row's Jacobian, (m, d, d), is taken in
-    its row of ys, through every stage.
-    """
-    a1, a2, a4 = times
-    k1, j1 = batched_rhs(a1, ys)
-    y2 = ys - (h / 2) * k1
-    k2, j2 = batched_rhs(a2, y2)
-    y3 = ys - (h / 2) * k2
-    k3, j3 = batched_rhs(a2, y3)
-    y4 = ys - h * k3
-    k4, j4 = batched_rhs(a4, y4)
-    d2 = j2 - (h / 2) * (j2 @ j1)  # d k2 / d y, and so on
-    d3 = j3 - (h / 2) * (j3 @ d2)
-    d4 = j4 - h * (j4 @ d3)
-    jac = np.eye(ys.shape[1]) - (h / 6) * (j1 + 2 * d2 + 2 * d3 + d4)
-    step = ys - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return (ys, k1, y2, k2, y3, k3, y4, k4), step, jac
 
 
 def _affine_scan(a, b):
@@ -369,13 +356,13 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
     serial loop at every S it runs) and a worker may be forked
     (can_fork_worker), a forked child sweeps the next grid beside it: 2n
     beside n, then, after each failed comparison, the level after next beside
-    the next. A child whose level the serial loop
-    would not reach is killed. The result, and any error, is the serial
-    loop's: an error from this process's sweep comes first, a child's is
-    raised only where the serial loop would sweep that level, and no level
-    beyond max_steps but the first two is swept. Every child is reaped
-    before the call returns or raises. The accepted table's stats gain the
-    rounds compared and the accepted error.
+    the next (here, in its turn, where Forked has no child). A child whose
+    level the serial loop would not reach is killed. The result, and any
+    error, is the serial loop's: an error from this process's sweep comes
+    first, a child's is raised only where the serial loop would sweep that
+    level, and no level beyond max_steps but the first two is swept. Every
+    child is reaped before the call returns or raises. The accepted table's
+    stats gain the rounds compared and the accepted error.
     """
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
@@ -384,10 +371,7 @@ def step_halving(sweep, n_steps: int, tol: float = DEFAULT_TOL, max_steps: int =
         if (level // 2 < HALVING_MIN_STEPS or getattr(sweep, "func", None) is newton_rk4_solve
                 or not can_fork_worker()):
             return None
-        try:
-            return Forked(partial(sweep, level))
-        except OSError:  # no process or pipe to be had: sweep here
-            return None
+        return Forked(partial(sweep, level))
 
     child = fork(2 * n_steps)
     try:
@@ -433,19 +417,20 @@ def can_fork_worker() -> bool:
 class Forked:
     """fn() in a forked child, which inherits fn and pickles back its value or exception.
 
-    The child never forks again (can_fork_worker). Construction raises OSError
-    where no process or pipe is to be had.
+    The child never forks again (can_fork_worker). Where no process or pipe
+    is to be had, there is no child: result() runs fn here, and kill() has
+    nothing to do.
     """
 
     def __init__(self, fn):
-        self.fn = fn
-        read, write = os.pipe()
+        self.fn, self.pipe, fds = fn, None, ()
         try:
+            fds = read, write = os.pipe()
             self.pid = os.fork()
         except OSError:
-            os.close(read)
-            os.close(write)
-            raise
+            for fd in fds:
+                os.close(fd)
+            return
         if self.pid:
             os.close(write)
             self.pipe = os.fdopen(read, "rb")
@@ -466,9 +451,12 @@ class Forked:
     def result(self):
         """fn()'s value, or its exception raised here, once the child is reaped.
 
-        Where the child leaves no result that loads whole (it was killed, say,
-        or pickle cannot carry what fn gave), fn runs here instead.
+        Where there is no child, or it leaves no result that loads whole (it
+        was killed, say, or pickle cannot carry what fn gave), fn runs here
+        instead.
         """
+        if self.pipe is None:
+            return self.fn()
         try:
             ok, value = pickle.load(self.pipe)
         except Exception:  # whatever the stream's fault, a serial caller would run fn here
@@ -480,8 +468,8 @@ class Forked:
         return value if ok else self.fn()
 
     def kill(self):
-        """Kill and reap the child, and close its pipe; a no-op once done."""
-        if not self.pipe.closed:
+        """Kill and reap the child, and close its pipe; a no-op once done or without a child."""
+        if self.pipe is not None and not self.pipe.closed:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pipe.close()

@@ -95,13 +95,28 @@ def no_fork(monkeypatch):
 
 @pytest.fixture
 def second_fork_fails(forked, monkeypatch):
-    """forked, but every fork after the first fails as a full process table makes it fail."""
+    """forked, but every os.fork after the first fails as a full process table makes it fail.
 
-    class SecondFails(ode_engine.Forked):  # the recording class
-        def __init__(self, fn):
-            if forked:
-                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            super().__init__(fn)
+    A thunk whose fork failed has no child to run it, so it leaves the list.
+    """
+    fork = os.fork
 
-    monkeypatch.setattr(ode_engine, "Forked", SecondFails)
+    def first_only():
+        if len(forked) > 1:
+            forked.pop()
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", first_only)
+    return forked
+
+
+@pytest.fixture
+def no_pipe(forked, monkeypatch):
+    """forked, but os.pipe fails as it does in a process out of file descriptors."""
+
+    def emfile():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", emfile)
     return forked

@@ -114,6 +114,18 @@ class TestRun:
         run(cfg)
         assert (tmp_path / "consumption_g-1.csv").read_bytes() == first
 
+    def test_rerun_replaces_stale_artifacts_whole(self, tmp_path):
+        cfg = load_config(minimal_config(tmp_path, outputs=["curves", "tables", "validation"]))
+        names = ["consumption_g-1.csv", "coefficients_g-1.csv", "validation_report.json"]
+        for name in names:  # longer than any artifact, so a partial overwrite would leave a tail
+            (tmp_path / name).write_text("STALE ROW\n" * 100_000)
+        assert run(cfg) == 0
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        assert run(cfg) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
+        assert b"STALE" not in b"".join(first.values())
+        assert json.loads(first["validation_report.json"])["failures"] == []
+
     def test_validation_passes_on_benchmark(self, tmp_path):
         cfg = load_config(minimal_config(tmp_path, outputs=["curves", "validation"]))
         assert run(cfg) == 0
@@ -309,6 +321,18 @@ class TestFig1:
         gaps = summary["reported"]["max_state_gap_by_gamma"]
         assert gaps["0.7"] > gaps["-1"]
         assert summary["reported"]["gap_direction_in_gamma"] == "increasing"
+
+    def test_rerun_replaces_stale_artifacts_whole(self, tmp_path):
+        names = [f"consumption_g{g}.csv" for g in ("0.7", "0", "-0.5", "-1")]
+        names.append("fig1_summary.json")
+        for name in names:  # longer than any artifact, so a partial overwrite would leave a tail
+            (tmp_path / name).write_text("STALE ROW\n" * 100_000)
+        reproduce_fig1(str(tmp_path), grid=256)
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        reproduce_fig1(str(tmp_path), grid=256)
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
+        assert b"STALE" not in b"".join(first.values())
+        assert json.loads(first["fig1_summary.json"])["gammas"] == [0.7, 0.0, -0.5, -1.0]
 
     def test_seed_recorded_when_given(self, tmp_path):
         reproduce_fig1(str(tmp_path), seed=77, grid=256)

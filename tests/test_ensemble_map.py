@@ -79,6 +79,17 @@ class TestSameBits:
         assert fork.stderr.tobytes() == here.stderr.tobytes()
         assert (fork.values[1] == 1.0).all() and (fork.stderr[1] == 0.0).all()
 
+    def test_picard_estimate_without_a_pipe(self, solved, no_pipe, monkeypatch):
+        spec, sol = solved
+        args = (spec, sol.g_table, 400, RngSpec(seed=17, stream=3))
+        fork = picard_apply(*args, quad_cells=32)
+        assert len(no_pipe) == 2
+        monkeypatch.setattr(ctmc, "POOL_MIN_PATH_CELLS", SERIAL)
+        here = picard_apply(*args, quad_cells=32)
+        assert fork.values.tobytes() == here.values.tobytes()
+        assert fork.stderr.tobytes() == here.stderr.tobytes()
+        assert_no_child_left()
+
     def test_mc_value_check_rows(self, solved, forked, monkeypatch):
         spec, sol = solved
         config = ExperimentConfig(market={}, gammas=[-1.0], grid=64, paths=300, seed=5)
@@ -208,7 +219,10 @@ class TestShares:
 
 
 class TestSerialFallbacks:
-    """Each fallback runs the same jobs here, in order, and leaves no child."""
+    """Each fallback runs the same jobs here, in order, and leaves no child.
+
+    A failed fork runs its own share here, in its turn.
+    """
 
     JOBS = [(k,) for k in range(3)]
     HERE = [(k, os.getpid()) for k in range(3)]
@@ -249,9 +263,16 @@ class TestSerialFallbacks:
         assert ensemble_map(_pid, self.JOBS, [1] * 3) == self.HERE
 
     def test_a_failed_fork(self, second_fork_fails):
-        # the first share's child is killed, and every job runs here
+        # the first share runs in its child; the second's fork fails: its jobs run here
+        (first, pid), *rest = ensemble_map(_pid, self.JOBS, [1] * 3)
+        assert shares(second_fork_fails) == [[(0,)]]
+        assert first == 0 and pid != os.getpid() and rest == self.HERE[1:]
+        assert_no_child_left()
+
+    def test_no_pipe(self, no_pipe):
+        # no share has a child, so every job runs here, in order
         assert ensemble_map(_pid, self.JOBS, [1] * 3) == self.HERE
-        assert len(second_fork_fails) == 1
+        assert shares(no_pipe) == [[(0,)], [(1,), (2,)]]
         assert_no_child_left()
 
 

@@ -30,7 +30,7 @@ def g_system(spec):
     coefficients = spec.r, spec.mu, spec.sigma
     return OdeSystem(spec.states, rhs_factory(spec)(*coefficients), np.ones(spec.states),
                      spec.horizon, positivity_floor=G_POSITIVITY_FLOOR,
-                     batched_rhs=rhs_factory(spec, batched=True)(*coefficients))
+                     jacobian=rhs_factory(spec, jacobian=True)(*coefficients))
 
 
 def same_bits(a, b) -> bool:
@@ -71,19 +71,18 @@ class TestFallbacks:
         assert table.stats["sweep"] == "stage" and same_bits(table, rk4_solve(system, 2048))
 
     def test_non_finite_iterate_gives_the_stage_loops_bits(self):
-        def batched(times, ys):  # a Jacobian that sends the first update to infinity
-            return -ys, np.full((ys.shape[0], 1, 1), 1e308)
+        def jacobian(times, ys):  # a Jacobian that sends the first update to infinity
+            return np.full((ys.shape[0], 1, 1), 1e308)
 
-        system = OdeSystem(1, lambda t, y: -y, np.ones(1), 1.0, batched_rhs=batched)
+        system = OdeSystem(1, lambda t, y: -y, np.ones(1), 1.0, jacobian=jacobian)
         table = newton_rk4_solve(system, 64)
         assert table.stats["sweep"] == "stage" and same_bits(table, rk4_solve(system, 64))
 
     def test_accepted_table_below_the_floor_raises_the_stage_loops_error(self):
         # y' = 1 from y(1) = 1: Newton solves the linear map in one update,
         # and the table falls below the floor 0.5 before t = 0.5
-        system = OdeSystem(1, lambda t, y: np.ones(1), np.ones(1), 1.0, positivity_floor=0.5,
-                           batched_rhs=lambda times, ys: (np.ones_like(ys),
-                                                          np.zeros((ys.shape[0], 1, 1))))
+        system = OdeSystem(1, lambda t, y: np.ones_like(y), np.ones(1), 1.0, positivity_floor=0.5,
+                           jacobian=lambda times, ys: np.zeros((ys.shape[0], 1, 1)))
         with pytest.raises(OdeDomainError) as newton:
             newton_rk4_solve(system, 64)
         with pytest.raises(OdeDomainError) as stage:
@@ -102,7 +101,7 @@ class TestFallbacks:
         assert str(newton.value).endswith("use at least 6083 steps")
 
     def test_needs_a_batched_rhs(self):
-        with pytest.raises(ValueError, match="batched_rhs"):
+        with pytest.raises(ValueError, match="jacobian"):
             newton_rk4_solve(OdeSystem(1, lambda t, y: -y, np.ones(1), 1.0), 16)
 
 

@@ -14,6 +14,7 @@ from rsmerton.ode_engine import (
     affine_pair_solve,
     affine_rk4_solve,
     interp_by_state,
+    newton_rk4_solve,
     residual_norm,
     rk4_solve,
     solve_terminal_ode,
@@ -124,6 +125,13 @@ class TestDomainGuards:
         )
         with pytest.raises(OdeDomainError, match="non-finite"):
             rk4_solve(sys_, 32)
+
+    @pytest.mark.parametrize("sweep", [rk4_solve, affine_rk4_solve, affine_pair_solve,
+                                       newton_rk4_solve])
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_n_steps_must_be_positive(self, sweep, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be positive"):
+            sweep(scalar_discount_system(), n_steps)
 
     def test_convergence_cap(self):
         with pytest.raises(OdeConvergenceError):

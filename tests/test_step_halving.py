@@ -140,6 +140,24 @@ class TestSameBits:
         here = serially(monkeypatch, lambda: step_halving(FakeSweep(), 16, tol=0.01))
         assert fork.grid.size == 129 and same_table(fork, here)
 
+    def test_no_pipe(self, no_pipe, monkeypatch):
+        # no fork has a child: each level is swept here, the speculative 128 in its turn
+        sweep = FakeSweep()
+        fork = step_halving(sweep, 16, tol=0.01)
+        assert levels(no_pipe) == [32, 128] and sweep.swept == [16, 32, 64, 128]
+        assert_no_child_left()
+        here = serially(monkeypatch, lambda: step_halving(FakeSweep(), 16, tol=0.01))
+        assert same_table(fork, here)
+
+    def test_benchmark_without_a_pipe(self, no_pipe, monkeypatch):
+        monkeypatch.setattr(equilibrium, "NEWTON_MAX_STATES", 0)  # the stage loop, which forks
+        spec = benchmark_spec(-1.0)
+        fork = solve_g(spec).table
+        assert levels(no_pipe) == [4096]
+        here = serially(monkeypatch, lambda: solve_g(spec).table)
+        assert fork.grid.size == 4097 and same_table(fork, here)
+        assert_no_child_left()
+
 
 class TestSameErrors:
     @pytest.mark.parametrize("fail, expected_level", [
